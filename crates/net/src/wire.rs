@@ -1269,7 +1269,7 @@ mod tests {
             misses: 20,
             coalesced_waits: 7,
             coalesced_served: 5,
-            failures: 5,
+            failures: 3,
             deadline_expired: 2,
             queries: 321,
             evictions: 4,
@@ -1281,7 +1281,7 @@ mod tests {
                 std::array::from_fn(|i| ((s * 7 + i) as u64) % 3)
             }),
             store: with_store.then_some(StoreStatsSnapshot {
-                regions: 20,
+                regions: 21,
                 wal_bytes: 4096,
                 segments: 2,
                 appends: 20,
@@ -1290,7 +1290,7 @@ mod tests {
                 fsyncs: 3,
                 lookups: 50,
                 hits: 10,
-                compactions: 1,
+                compactions: 6,
                 recovered_wal_records: 5,
                 recovered_segment_records: 15,
                 recovered_discarded_bytes: 13,
@@ -1302,15 +1302,15 @@ mod tests {
                 pulled_records: 17,
                 pulled_bytes: 9999,
                 ingested: 15,
-                duplicates: 2,
+                duplicates: 3,
                 rejected: 0,
                 peer_failures: 1,
-                spot_checks: 15,
+                spot_checks: 14,
             }),
             drift: with_store.then_some(DriftStatsSnapshot {
                 detected: 3,
                 invalidated: 4,
-                tombstones: 3,
+                tombstones: 6,
                 resolves: 2,
                 witnesses: 11,
             }),
@@ -1362,6 +1362,20 @@ mod tests {
             have: Vec::new(),
             max_bytes: 0,
         });
+    }
+
+    /// The `StatsReply` frame for `sample_stats(true)` — every section
+    /// present, every counter distinct within its family — pinned byte for
+    /// byte, so a codec change that moves, drops or resizes a field fails
+    /// here instead of on a deployed peer.
+    #[test]
+    fn stats_reply_bytes_match_the_golden_frame() {
+        let frame = encode_response(&Response::StatsReply(Box::new(sample_stats(true))));
+        let hex: String = frame.iter().map(|b| format!("{b:02x}")).collect();
+        let golden: String = include_str!("../testdata/stats_reply.hex")
+            .split_whitespace()
+            .collect();
+        assert_eq!(hex, golden, "StatsReply bytes changed");
     }
 
     #[test]
