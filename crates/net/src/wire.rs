@@ -22,10 +22,10 @@ use bytes::{Buf, BufMut};
 use openapi_core::decision::{Interpretation, RegionFingerprint};
 use openapi_linalg::codec::{self, CodecError};
 use openapi_linalg::Vector;
-use openapi_metrics::LATENCY_BUCKETS;
-use openapi_serve::{DriftStatsSnapshot, FabricStatsSnapshot, ServeOutcome, StatsSnapshot, STAGES};
+use openapi_serve::{ServeOutcome, StatsSnapshot};
 use openapi_store::record::{self, RecordError};
-use openapi_store::{DigestBucket, StoreDigest, StoreStatsSnapshot, SyncDelta, DIGEST_BUCKETS};
+use openapi_store::{DigestBucket, StoreDigest, SyncDelta, DIGEST_BUCKETS};
+use openapi_trace::expose::Family;
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::sync::Arc;
@@ -571,51 +571,6 @@ fn get_remote_error(buf: &mut &[u8]) -> Result<RemoteError, WireError> {
     Ok(RemoteError { code, message })
 }
 
-fn put_store_stats(buf: &mut Vec<u8>, s: &StoreStatsSnapshot) {
-    codec::put_len(buf, s.regions);
-    buf.put_u64_le(s.wal_bytes);
-    codec::put_len(buf, s.segments);
-    for v in [
-        s.appends,
-        s.duplicate_appends,
-        s.flushed_records,
-        s.fsyncs,
-        s.lookups,
-        s.hits,
-        s.compactions,
-        s.recovered_wal_records,
-        s.recovered_segment_records,
-        s.recovered_discarded_bytes,
-    ] {
-        buf.put_u64_le(v);
-    }
-}
-
-fn get_store_stats(buf: &mut &[u8]) -> Result<StoreStatsSnapshot, WireError> {
-    let regions = codec::get_len(buf, "store regions")?;
-    let wal_bytes = get_u64(buf, "store wal bytes")?;
-    let segments = codec::get_len(buf, "store segments")?;
-    let mut counters = [0u64; 10];
-    for c in &mut counters {
-        *c = get_u64(buf, "store counter")?;
-    }
-    Ok(StoreStatsSnapshot {
-        regions,
-        wal_bytes,
-        segments,
-        appends: counters[0],
-        duplicate_appends: counters[1],
-        flushed_records: counters[2],
-        fsyncs: counters[3],
-        lookups: counters[4],
-        hits: counters[5],
-        compactions: counters[6],
-        recovered_wal_records: counters[7],
-        recovered_segment_records: counters[8],
-        recovered_discarded_bytes: counters[9],
-    })
-}
-
 fn put_digest(buf: &mut Vec<u8>, digest: &StoreDigest) {
     for bucket in &digest.buckets {
         buf.put_u64_le(bucket.xor);
@@ -634,185 +589,73 @@ fn get_digest(buf: &mut &[u8]) -> Result<StoreDigest, WireError> {
     Ok(digest)
 }
 
-fn put_fabric_stats(buf: &mut Vec<u8>, s: &FabricStatsSnapshot) {
-    for v in [
-        s.peers,
-        s.rounds,
-        s.digests,
-        s.pulled_records,
-        s.pulled_bytes,
-        s.ingested,
-        s.duplicates,
-        s.rejected,
-        s.peer_failures,
-        s.spot_checks,
-    ] {
-        buf.put_u64_le(v);
+/// Writes every declared counter of a stats family, in declaration order.
+fn put_family<S: Family>(buf: &mut Vec<u8>, s: &S) {
+    for m in S::METRICS {
+        buf.put_u64_le((m.get)(s));
     }
 }
 
-fn get_fabric_stats(buf: &mut &[u8]) -> Result<FabricStatsSnapshot, WireError> {
-    let mut counters = [0u64; 10];
-    for c in &mut counters {
-        *c = get_u64(buf, "fabric counter")?;
+/// Reads the counters [`put_family`] wrote into `s`.
+fn get_family<S: Family>(buf: &mut &[u8], s: &mut S) -> Result<(), WireError> {
+    for m in S::METRICS {
+        (m.set)(s, get_u64(buf, m.field)?);
     }
-    Ok(FabricStatsSnapshot {
-        peers: counters[0],
-        rounds: counters[1],
-        digests: counters[2],
-        pulled_records: counters[3],
-        pulled_bytes: counters[4],
-        ingested: counters[5],
-        duplicates: counters[6],
-        rejected: counters[7],
-        peer_failures: counters[8],
-        spot_checks: counters[9],
-    })
+    Ok(())
+}
+
+/// An optional family behind its presence byte (`0` absent, `1` present).
+fn put_section<S: Family>(buf: &mut Vec<u8>, s: Option<&S>) {
+    buf.put_u8(u8::from(s.is_some()));
+    if let Some(s) = s {
+        put_family(buf, s);
+    }
+}
+
+fn get_section<S: Family + Default>(
+    buf: &mut &[u8],
+    what: &'static str,
+) -> Result<Option<S>, WireError> {
+    match get_u8(buf, what)? {
+        0 => Ok(None),
+        1 => {
+            let mut s = S::default();
+            get_family(buf, &mut s)?;
+            Ok(Some(s))
+        }
+        other => Err(WireError::BadValue {
+            what,
+            value: u64::from(other),
+        }),
+    }
 }
 
 fn put_stats(buf: &mut Vec<u8>, s: &StatsSnapshot) {
-    for v in [
-        s.requests,
-        s.hits,
-        s.store_hits,
-        s.misses,
-        s.coalesced_waits,
-        s.coalesced_served,
-        s.failures,
-        s.deadline_expired,
-        s.queries,
-        s.evictions,
-    ] {
-        buf.put_u64_le(v);
-    }
-    codec::put_len(buf, s.cached_regions);
+    put_family(buf, s);
     put_opt_duration(buf, s.p50_latency);
     put_opt_duration(buf, s.p99_latency);
-    for b in &s.latency_buckets {
+    let buckets = s.latency_buckets.iter();
+    for b in buckets.chain(s.stage_buckets.iter().flatten()) {
         buf.put_u64_le(*b);
     }
-    for stage in &s.stage_buckets {
-        for b in stage {
-            buf.put_u64_le(*b);
-        }
-    }
-    match &s.store {
-        Some(store) => {
-            buf.put_u8(1);
-            put_store_stats(buf, store);
-        }
-        None => buf.put_u8(0),
-    }
-    match &s.fabric {
-        Some(fabric) => {
-            buf.put_u8(1);
-            put_fabric_stats(buf, fabric);
-        }
-        None => buf.put_u8(0),
-    }
-    match &s.drift {
-        Some(drift) => {
-            buf.put_u8(1);
-            put_drift_stats(buf, drift);
-        }
-        None => buf.put_u8(0),
-    }
-}
-
-fn put_drift_stats(buf: &mut Vec<u8>, s: &DriftStatsSnapshot) {
-    for v in [
-        s.detected,
-        s.invalidated,
-        s.tombstones,
-        s.resolves,
-        s.witnesses,
-    ] {
-        buf.put_u64_le(v);
-    }
-}
-
-fn get_drift_stats(buf: &mut &[u8]) -> Result<DriftStatsSnapshot, WireError> {
-    let mut counters = [0u64; 5];
-    for c in &mut counters {
-        *c = get_u64(buf, "drift counter")?;
-    }
-    Ok(DriftStatsSnapshot {
-        detected: counters[0],
-        invalidated: counters[1],
-        tombstones: counters[2],
-        resolves: counters[3],
-        witnesses: counters[4],
-    })
+    put_section(buf, s.store.as_ref());
+    put_section(buf, s.fabric.as_ref());
+    put_section(buf, s.drift.as_ref());
 }
 
 fn get_stats(buf: &mut &[u8]) -> Result<StatsSnapshot, WireError> {
-    let mut counters = [0u64; 10];
-    for c in &mut counters {
-        *c = get_u64(buf, "stats counter")?;
-    }
-    let cached_regions = codec::get_len(buf, "stats cached regions")?;
-    let p50_latency = get_opt_duration(buf, "stats p50")?;
-    let p99_latency = get_opt_duration(buf, "stats p99")?;
-    let mut latency_buckets = [0u64; LATENCY_BUCKETS];
-    for b in &mut latency_buckets {
+    let mut s = StatsSnapshot::default();
+    get_family(buf, &mut s)?;
+    s.p50_latency = get_opt_duration(buf, "stats p50")?;
+    s.p99_latency = get_opt_duration(buf, "stats p99")?;
+    let buckets = s.latency_buckets.iter_mut();
+    for b in buckets.chain(s.stage_buckets.iter_mut().flatten()) {
         *b = get_u64(buf, "stats latency bucket")?;
     }
-    let mut stage_buckets = [[0u64; LATENCY_BUCKETS]; STAGES];
-    for stage in &mut stage_buckets {
-        for b in stage.iter_mut() {
-            *b = get_u64(buf, "stats stage bucket")?;
-        }
-    }
-    let store = match get_u8(buf, "stats store flag")? {
-        0 => None,
-        1 => Some(get_store_stats(buf)?),
-        other => {
-            return Err(WireError::BadValue {
-                what: "stats store flag",
-                value: u64::from(other),
-            })
-        }
-    };
-    let fabric = match get_u8(buf, "stats fabric flag")? {
-        0 => None,
-        1 => Some(get_fabric_stats(buf)?),
-        other => {
-            return Err(WireError::BadValue {
-                what: "stats fabric flag",
-                value: u64::from(other),
-            })
-        }
-    };
-    let drift = match get_u8(buf, "stats drift flag")? {
-        0 => None,
-        1 => Some(get_drift_stats(buf)?),
-        other => {
-            return Err(WireError::BadValue {
-                what: "stats drift flag",
-                value: u64::from(other),
-            })
-        }
-    };
-    Ok(StatsSnapshot {
-        requests: counters[0],
-        hits: counters[1],
-        store_hits: counters[2],
-        misses: counters[3],
-        coalesced_waits: counters[4],
-        coalesced_served: counters[5],
-        failures: counters[6],
-        deadline_expired: counters[7],
-        queries: counters[8],
-        evictions: counters[9],
-        cached_regions,
-        p50_latency,
-        p99_latency,
-        latency_buckets,
-        stage_buckets,
-        store,
-        fabric,
-        drift,
-    })
+    s.store = get_section(buf, "stats store flag")?;
+    s.fabric = get_section(buf, "stats fabric flag")?;
+    s.drift = get_section(buf, "stats drift flag")?;
+    Ok(s)
 }
 
 /// Wraps a finished payload in its frame (length + CRC).
@@ -1233,6 +1076,8 @@ fn read_full(r: &mut impl Read, buf: &mut [u8]) -> io::Result<usize> {
 mod tests {
     use super::*;
     use openapi_core::decision::PairwiseCoreParams;
+    use openapi_serve::{DriftStatsSnapshot, FabricStatsSnapshot};
+    use openapi_store::StoreStatsSnapshot;
 
     fn served(outcome: ServeOutcome) -> RemoteServed {
         let interpretation = Interpretation::from_pairwise(
@@ -1376,6 +1221,48 @@ mod tests {
             .split_whitespace()
             .collect();
         assert_eq!(hex, golden, "StatsReply bytes changed");
+    }
+
+    /// Sets every declared counter of `s` to the next value of `next`;
+    /// returns each declaration's series name with the value it was given.
+    fn fill<S: Family>(s: &mut S, next: &mut u64) -> Vec<(&'static str, u64)> {
+        S::METRICS
+            .iter()
+            .map(|m| {
+                *next += 1;
+                (m.set)(s, *next);
+                (m.name, *next)
+            })
+            .collect()
+    }
+
+    /// Field-exhaustive over the declarations rather than named fields:
+    /// every counter of every family gets a distinct value, survives the
+    /// wire, and appears in the exposition exactly once with that value.
+    #[test]
+    fn every_declared_counter_crosses_the_wire_and_is_exposed_once() {
+        let mut next = 1_000;
+        let mut stats = sample_stats(false);
+        let (mut store, mut fabric, mut drift) = (
+            StoreStatsSnapshot::default(),
+            FabricStatsSnapshot::default(),
+            DriftStatsSnapshot::default(),
+        );
+        let mut declared = fill(&mut stats, &mut next);
+        declared.extend(fill(&mut store, &mut next));
+        declared.extend(fill(&mut fabric, &mut next));
+        declared.extend(fill(&mut drift, &mut next));
+        (stats.store, stats.fabric, stats.drift) = (Some(store), Some(fabric), Some(drift));
+
+        roundtrip_response(Response::StatsReply(Box::new(stats.clone())));
+        let text = stats.to_prometheus();
+        for (name, value) in declared {
+            let samples: Vec<&str> = text
+                .lines()
+                .filter(|l| l.split(' ').next() == Some(name))
+                .collect();
+            assert_eq!(samples, [format!("{name} {value}")]);
+        }
     }
 
     #[test]

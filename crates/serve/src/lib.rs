@@ -16,8 +16,8 @@
 //!   `openapi_sync::RwLock`, with a capacity bound and CLOCK eviction so
 //!   memory stays flat under millions of distinct regions. Slots hold
 //!   `Arc<Interpretation>`, so a hit is a reference-count bump, never a
-//!   multi-KB parameter copy. Snapshot / restore ([`CacheSnapshot`]) lets
-//!   a service warm-start from a prior run's solved regions.
+//!   multi-KB parameter copy. Warm start across restarts is the durable
+//!   store's job (below).
 //! * [`InterpretationService`] — a worker pool (crossbeam channels) that
 //!   accepts [`InterpretRequest`]s and returns [`Ticket`] handles the
 //!   caller can block on ([`Ticket::wait`]) or poll ([`Ticket::poll`]).
@@ -31,7 +31,10 @@
 //! * [`ServiceStats`] — atomic hit/store-hit/miss/coalesce/eviction/query
 //!   counters plus a fixed-bucket latency histogram
 //!   ([`openapi_metrics::LatencyHistogram`]) for p50/p99, with the
-//!   store's own counters embedded when one is attached.
+//!   store's own counters embedded when one is attached. Each counter is
+//!   declared once in its family's [`openapi_trace::expose::Family`]
+//!   table, which drives the snapshot, `Display`, Prometheus text and the
+//!   wire codec alike.
 //!
 //! # Request coalescing preserves exactness
 //!
@@ -119,7 +122,6 @@
 pub mod coalesce;
 mod service;
 mod shared_cache;
-mod snapshot;
 mod stats;
 
 pub use coalesce::{ClassLedger, Election};
@@ -128,7 +130,6 @@ pub use service::{
     ServeError, ServeOutcome, Served, ServiceConfig, ServiceCore, Ticket,
 };
 pub use shared_cache::{SharedCacheConfig, SharedRegionCache};
-pub use snapshot::{CacheSnapshot, SnapshotEntry, SnapshotError};
 pub use stats::{
     DriftStats, DriftStatsSnapshot, FabricStats, FabricStatsSnapshot, ServiceStats, StageSlot,
     StatsSnapshot, STAGES, STAGE_NAMES,

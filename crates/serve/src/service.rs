@@ -3,7 +3,6 @@
 
 use crate::coalesce::{ClassLedger, Election};
 use crate::shared_cache::{SharedCacheConfig, SharedRegionCache};
-use crate::snapshot::CacheSnapshot;
 use crate::stats::{DriftStats, FabricStats, ServiceStats, StageSlot, StatsSnapshot};
 use crossbeam::channel::{self, Receiver, Sender};
 use openapi_api::PredictionApi;
@@ -38,9 +37,6 @@ pub struct ServiceConfig {
     /// Master seed; each request's sampling RNG derives from
     /// `(seed, request id)`, so a fixed submission order replays exactly.
     pub seed: u64,
-    /// Whether concurrent same-class misses coalesce onto in-flight
-    /// solves (`true` by default; disable to benchmark the difference).
-    pub coalesce: bool,
     /// How many Algorithm-1 solves of one class may run concurrently
     /// before further misses park as waiters (clamped to ≥ 1; default 4).
     /// A class's region identity is unknowable before its solve, so
@@ -60,7 +56,6 @@ impl Default for ServiceConfig {
             cache: SharedCacheConfig::default(),
             openapi: OpenApiConfig::default(),
             seed: 42,
-            coalesce: true,
             max_leaders_per_class: 4,
         }
     }
@@ -675,18 +670,6 @@ impl<M: PredictionApi + Send + Sync + 'static> InterpretationService<M> {
         audit_drift(self.inner.as_ref())
     }
 
-    /// Snapshot of the solved regions, for [`CacheSnapshot::to_bytes`] /
-    /// warm-starting another service.
-    pub fn snapshot_cache(&self) -> CacheSnapshot {
-        self.inner.cache.snapshot()
-    }
-
-    /// Warm-starts the cache from a prior run's snapshot; returns the
-    /// number of entries admitted.
-    pub fn restore_cache(&self, snapshot: &CacheSnapshot) -> usize {
-        self.inner.cache.restore(snapshot)
-    }
-
     /// Graceful shutdown: drains and joins the workers, then closes the
     /// durable store (final WAL flush + fsync), surfacing any I/O error.
     /// Dropping the service instead does the same shutdown but can only
@@ -835,14 +818,9 @@ impl<M: PredictionApi + Send + Sync + 'static> ServiceCore<M> {
     /// anti-entropy set union. Returns whether the tombstone was fresh
     /// (false when the store already held it, or without a store).
     pub fn apply_tombstone(&self, class: usize, fingerprint: RegionFingerprint) -> bool {
-        let evicted = self.inner.cache.evict(class, fingerprint) as u64;
-        DriftStats::add(&self.inner.drift_stats.invalidated, evicted);
-        let fresh = match &self.inner.store {
-            Some(store) => store.tombstone(class, fingerprint),
-            None => false,
-        };
+        // A replicated fact needs no conviction: it is applied regardless.
+        let fresh = invalidate(&self.inner, class, fingerprint, |_| true) == Some(true);
         if fresh {
-            DriftStats::add(&self.inner.drift_stats.tombstones, 1);
             RequestSpan::detached().event(Stage::Invalidate, fingerprint.0);
         }
         fresh
@@ -1096,20 +1074,13 @@ fn handle_job<M: PredictionApi>(inner: &Inner<M>, tx: &Sender<Msg>, mut job: Job
         None
     };
     if let Some(stale) = witnessed {
-        let evicted = inner.cache.evict(job.class, stale) as u64;
-        let stored = inner
-            .store
-            .as_ref()
-            .is_some_and(|s| s.contains_fingerprint(job.class, stale));
-        if evicted > 0 || stored {
+        if invalidate(inner, job.class, stale, |evicted| {
+            evicted > 0 || stored(inner, job.class, stale)
+        })
+        .is_some()
+        {
             DriftStats::add(&inner.drift_stats.detected, 1);
-            DriftStats::add(&inner.drift_stats.invalidated, evicted);
             job.span.event(Stage::Invalidate, stale.0);
-            if let Some(store) = &inner.store {
-                if store.tombstone(job.class, stale) {
-                    DriftStats::add(&inner.drift_stats.tombstones, 1);
-                }
-            }
             job.drifted = true;
         }
     }
@@ -1117,36 +1088,32 @@ fn handle_job<M: PredictionApi>(inner: &Inner<M>, tx: &Sender<Msg>, mut job: Job
     // The probe rides in the job across the election: a parked request is
     // settled (or requeued) with its probe intact and never pays it twice.
     job.probs = Some(probs);
-    let leadership = if inner.config.coalesce {
-        let class = job.class;
-        // The span outlives the election either way; keep a copy so the
-        // parked branch (which surrenders the job to the ledger) can
-        // still emit its event.
-        let span = job.span;
-        match inner
-            .ledger
-            .try_lead(class, inner.config.max_leaders_per_class, job)
-        {
-            Election::Parked => {
-                // The class is at its concurrent-solve limit: parked (the
-                // limit check and the park were one atomic step inside the
-                // ledger). A finishing leader's result decides our fate —
-                // serve if it explains our probe, requeue otherwise.
-                ServiceStats::add(&inner.stats.coalesced_waits, 1);
-                span.event(Stage::CoalesceWait, 0);
-                return;
-            }
-            Election::Led(led) => {
-                job = led;
-                job.span.event(Stage::CoalesceLead, 0);
-                // Guard constructed immediately after winning the slot: from
-                // here on, a panic anywhere in the solve steps this leader
-                // down via `Drop`.
-                Some(LeaderGuard::new(inner, tx, class))
-            }
+    let class = job.class;
+    // The span outlives the election either way; keep a copy so the parked
+    // branch (which surrenders the job to the ledger) can still emit its
+    // event.
+    let span = job.span;
+    let guard = match inner
+        .ledger
+        .try_lead(class, inner.config.max_leaders_per_class, job)
+    {
+        Election::Parked => {
+            // The class is at its concurrent-solve limit: parked (the limit
+            // check and the park were one atomic step inside the ledger). A
+            // finishing leader's result decides our fate — serve if it
+            // explains our probe, requeue otherwise.
+            ServiceStats::add(&inner.stats.coalesced_waits, 1);
+            span.event(Stage::CoalesceWait, 0);
+            return;
         }
-    } else {
-        None
+        Election::Led(led) => {
+            job = led;
+            job.span.event(Stage::CoalesceLead, 0);
+            // Guard constructed immediately after winning the slot: from
+            // here on, a panic anywhere in the solve steps this leader down
+            // via `Drop`.
+            LeaderGuard::new(inner, tx, class)
+        }
     };
     let probs = job.probs.take().expect("the probe rides the election");
 
@@ -1159,7 +1126,7 @@ fn handle_job<M: PredictionApi>(inner: &Inner<M>, tx: &Sender<Msg>, mut job: Job
     // same-class concurrency, so the scan serializes nobody — and only in
     // the rare race, when the generation says a solve completed since our
     // lookup began.
-    let recheck = (leadership.is_some() && inner.ledger.generation() != generation)
+    let recheck = (inner.ledger.generation() != generation)
         .then(|| {
             inner
                 .cache
@@ -1190,10 +1157,8 @@ fn handle_job<M: PredictionApi>(inner: &Inner<M>, tx: &Sender<Msg>, mut job: Job
         }
     };
 
-    if let Some(guard) = leadership {
-        let waiters = guard.release();
-        settle_waiters(inner, tx, solved.as_ref(), waiters);
-    }
+    let waiters = guard.release();
+    settle_waiters(inner, tx, solved.as_ref(), waiters);
 
     let result = match solved {
         Ok((interpretation, fingerprint)) => Ok(Served {
@@ -1330,25 +1295,53 @@ fn audit_drift<M: PredictionApi>(inner: &Inner<M>) -> u64 {
         }
         // Nothing explains the live prediction any more. If the witnessed
         // region is still on offer, it is stale: invalidate it everywhere.
-        let evicted = inner.cache.evict(class, stale) as u64;
-        let stored = inner
-            .store
-            .as_ref()
-            .is_some_and(|s| s.contains_fingerprint(class, stale));
-        if evicted > 0 || stored {
+        if invalidate(inner, class, stale, |evicted| {
+            evicted > 0 || stored(inner, class, stale)
+        })
+        .is_some()
+        {
             DriftStats::add(&inner.drift_stats.detected, 1);
-            DriftStats::add(&inner.drift_stats.invalidated, evicted);
             RequestSpan::detached().event(Stage::Invalidate, stale.0);
-            if let Some(store) = &inner.store {
-                if store.tombstone(class, stale) {
-                    DriftStats::add(&inner.drift_stats.tombstones, 1);
-                }
-            }
             invalidated += 1;
         }
         inner.witnesses.lock().remove(class, &bits);
     }
     invalidated
+}
+
+/// Forgets a stale region everywhere — the one invalidation path the
+/// inline detector, the audit sweep and replicated tombstones share.
+/// Evicts the region's cache entries; then, if `convicted(evicted)` holds,
+/// tombstones it in the durable store and counts the evictions and any
+/// fresh tombstone in the drift stats. Returns `None` when not convicted,
+/// else whether the tombstone was fresh (false without a store).
+fn invalidate<M: PredictionApi>(
+    inner: &Inner<M>,
+    class: usize,
+    stale: RegionFingerprint,
+    convicted: impl FnOnce(u64) -> bool,
+) -> Option<bool> {
+    let evicted = inner.cache.evict(class, stale) as u64;
+    if !convicted(evicted) {
+        return None;
+    }
+    DriftStats::add(&inner.drift_stats.invalidated, evicted);
+    let fresh = inner
+        .store
+        .as_ref()
+        .is_some_and(|store| store.tombstone(class, stale));
+    if fresh {
+        DriftStats::add(&inner.drift_stats.tombstones, 1);
+    }
+    Some(fresh)
+}
+
+/// Whether the durable store still offers `stale` (false without a store).
+fn stored<M: PredictionApi>(inner: &Inner<M>, class: usize, stale: RegionFingerprint) -> bool {
+    inner
+        .store
+        .as_ref()
+        .is_some_and(|store| store.contains_fingerprint(class, stale))
 }
 
 /// Derives a request's sampling RNG from `(seed, request id)` via
@@ -1807,13 +1800,12 @@ mod tests {
     }
 
     #[test]
-    fn mismatched_snapshot_degrades_to_misses_not_poisoned_lookups() {
+    fn foreign_cache_entry_degrades_to_misses_not_poisoned_lookups() {
         // Regression: an entry recovered from a DIFFERENT model (contrast
-        // class 4 in a 2-class service) lands in the cache via restore; it
+        // class 4 in a 2-class service) lands in the cache; it
         // must simply never pass membership — requests for its class still
         // solve and succeed, rather than every lookup panicking on the
         // foreign entry and killing the class.
-        use crate::snapshot::SnapshotEntry;
         use openapi_core::decision::PairwiseCoreParams;
 
         let foreign = Interpretation::from_pairwise(
@@ -1825,44 +1817,14 @@ mod tests {
             }],
         )
         .unwrap();
-        let snapshot = CacheSnapshot {
-            entries: vec![SnapshotEntry {
-                fingerprint: foreign.fingerprint(6),
-                interpretation: Arc::new(foreign),
-            }],
-        };
         let svc = service(2);
-        assert_eq!(svc.restore_cache(&snapshot), 1);
+        svc.cache().insert(Arc::new(foreign));
         let served = svc
             .submit_instance(Vector(vec![0.2, 0.1]), 0)
             .wait()
             .expect("foreign cache entry must not poison the class");
         assert_eq!(served.outcome, ServeOutcome::Solved);
         assert_eq!(svc.stats().failures, 0);
-    }
-
-    #[test]
-    fn warm_start_from_snapshot_skips_the_solves() {
-        let svc = service(2);
-        let xs: Vec<Vector> = vec![Vector(vec![0.2, 0.3]), Vector(vec![0.8, -0.2])];
-        for x in &xs {
-            svc.submit_instance(x.clone(), 0).wait().unwrap();
-        }
-        let snapshot = svc.snapshot_cache();
-        assert_eq!(snapshot.entries.len(), 2);
-        let bytes = snapshot.to_bytes();
-
-        // A brand-new service restored from the bytes serves both regions
-        // from cache: zero solves, one probe per request.
-        let restored = CacheSnapshot::from_bytes(&bytes).unwrap();
-        let svc2 = service(2);
-        assert_eq!(svc2.restore_cache(&restored), 2);
-        for x in &xs {
-            let served = svc2.submit_instance(x.clone(), 0).wait().unwrap();
-            assert_eq!(served.outcome, ServeOutcome::CacheHit);
-            assert_eq!(served.queries, 1);
-        }
-        assert_eq!(svc2.stats().misses, 0);
     }
 
     #[test]

@@ -12,7 +12,6 @@
 //! (see [`RegionCache`]), so the whole cache stays within its configured
 //! bound no matter how many distinct regions traffic touches.
 
-use crate::snapshot::{CacheSnapshot, SnapshotEntry};
 use openapi_core::cache::{CachedRegion, ProbeRef, RegionCache, RegionCacheConfig};
 use openapi_core::decision::{Interpretation, RegionFingerprint};
 use openapi_linalg::kernel::Backend;
@@ -158,8 +157,8 @@ impl SharedRegionCache {
     }
 
     /// Drops every cached entry of `class` keyed by `fingerprint` across
-    /// all shards (inserts route by fingerprint, but restores and
-    /// collision fallbacks can land entries anywhere, so the sweep checks
+    /// all shards (inserts route by fingerprint, but collision
+    /// fallbacks can land entries anywhere, so the sweep checks
     /// every shard). The drift detector's cache half; returns the number
     /// of entries removed.
     pub fn evict(&self, class: usize, fingerprint: RegionFingerprint) -> usize {
@@ -167,42 +166,6 @@ impl SharedRegionCache {
             .iter()
             .map(|shard| shard.write().evict_fingerprint(class, fingerprint))
             .sum()
-    }
-
-    /// A point-in-time copy of every cached region, for persistence or
-    /// warm-starting another service (see [`CacheSnapshot`]). Entries are
-    /// `Arc` shares of the live slots — no payload copies. Shards are
-    /// locked one at a time, so the snapshot is per-shard consistent but
-    /// not globally atomic — fine for its purpose (each entry is
-    /// independently exact).
-    pub fn snapshot(&self) -> CacheSnapshot {
-        let entries = self
-            .shards
-            .iter()
-            .flat_map(|shard| {
-                shard
-                    .read()
-                    .iter()
-                    .map(|r| SnapshotEntry {
-                        fingerprint: r.fingerprint,
-                        interpretation: r.interpretation,
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        CacheSnapshot { entries }
-    }
-
-    /// Warm-starts the cache from a snapshot: every entry is re-admitted
-    /// through the normal insert path (fingerprints are recomputed at this
-    /// cache's `fingerprint_digits`). Returns the number of entries
-    /// *replayed* — duplicates merge and the capacity bound still evicts,
-    /// so [`SharedRegionCache::len`] afterwards may be smaller.
-    pub fn restore(&self, snapshot: &CacheSnapshot) -> usize {
-        for entry in &snapshot.entries {
-            self.insert(Arc::clone(&entry.interpretation));
-        }
-        snapshot.entries.len()
     }
 }
 

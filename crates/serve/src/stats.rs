@@ -3,6 +3,8 @@
 use openapi_metrics::{quantile_from_buckets, LatencyHistogram, LATENCY_BUCKETS};
 use openapi_store::StoreStatsSnapshot;
 use openapi_sync::atomic::{AtomicU64, Ordering};
+use openapi_trace::expose::{Family, Metric, MetricsText};
+use openapi_trace::metric;
 use std::fmt;
 use std::time::Duration;
 
@@ -75,38 +77,24 @@ impl ServiceStats {
     /// fills them in (see `InterpretationService::stats`).
     ///
     /// # Torn reads
-    /// The counters are loaded one by one with no cross-counter atomicity:
-    /// a snapshot taken while requests are in flight may observe, say, a
-    /// request's `requests` increment but not yet its outcome bucket.
-    /// Each individual counter is still exact, and once every submitted
-    /// ticket has resolved the snapshot is exact as a whole (the ledger
-    /// identity on [`StatsSnapshot`] holds) — the reply-channel `recv` the
-    /// caller blocked on happens-after the worker's final `add`.
+    /// Per-counter exact only, see [`Family::load`]: a snapshot taken
+    /// while requests are in flight may observe, say, a request's
+    /// `requests` increment but not yet its outcome bucket. Once every
+    /// submitted ticket has resolved the snapshot is exact as a whole (the
+    /// ledger identity on [`StatsSnapshot`] holds) — the reply-channel
+    /// `recv` the caller blocked on happens-after the worker's final `add`.
     pub(crate) fn snapshot(&self, evictions: u64, cached_regions: usize) -> StatsSnapshot {
-        // ordering: Relaxed — per-counter exactness is all the contract
-        // promises mid-flight (see the torn-reads note above); quiescent
-        // exactness rides the reply-channel happens-before edge.
-        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        StatsSnapshot {
-            requests: load(&self.requests),
-            hits: load(&self.hits),
-            store_hits: load(&self.store_hits),
-            misses: load(&self.misses),
-            coalesced_waits: load(&self.coalesced_waits),
-            coalesced_served: load(&self.coalesced_served),
-            failures: load(&self.failures),
-            deadline_expired: load(&self.deadline_expired),
-            queries: load(&self.queries),
+        let mut snapshot = StatsSnapshot {
             evictions,
-            cached_regions,
+            cached_regions: cached_regions as u64,
             p50_latency: self.latency.p50(),
             p99_latency: self.latency.p99(),
             latency_buckets: self.latency.snapshot(),
             stage_buckets: std::array::from_fn(|i| self.stage[i].snapshot()),
-            store: None,
-            fabric: None,
-            drift: None,
-        }
+            ..StatsSnapshot::default()
+        };
+        snapshot.load(self);
+        snapshot
     }
 }
 
@@ -141,15 +129,12 @@ impl DriftStats {
     /// contract as [`ServiceStats`]). The witness-book size is a gauge the
     /// service owns, so it passes the current value in.
     pub fn snapshot(&self, witnesses: u64) -> DriftStatsSnapshot {
-        // ordering: Relaxed — per-counter exactness is the contract.
-        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        DriftStatsSnapshot {
-            detected: load(&self.detected),
-            invalidated: load(&self.invalidated),
-            tombstones: load(&self.tombstones),
-            resolves: load(&self.resolves),
+        let mut snapshot = DriftStatsSnapshot {
             witnesses,
-        }
+            ..DriftStatsSnapshot::default()
+        };
+        snapshot.load(self);
+        snapshot
     }
 }
 
@@ -166,6 +151,17 @@ pub struct DriftStatsSnapshot {
     pub resolves: u64,
     /// Served instances currently remembered as drift witnesses (gauge).
     pub witnesses: u64,
+}
+
+impl Family for DriftStatsSnapshot {
+    type Atomics = DriftStats;
+    const METRICS: &'static [Metric<Self>] = &[
+        metric!(Counter detected, "openapi_drift_detected_total", "Confirmed drift detections (stale regions caught)."),
+        metric!(Counter invalidated, "openapi_drift_invalidated_total", "Cache entries evicted by drift invalidations."),
+        metric!(Counter tombstones, "openapi_drift_tombstones_total", "Fresh tombstones written to the durable store."),
+        metric!(Counter resolves, "openapi_drift_resolves_total", "Drifted requests re-solved against the live API."),
+        metric!(Gauge witnesses, "openapi_drift_witnesses", "Served instances remembered as drift witnesses.", owned),
+    ];
 }
 
 /// Lock-free counters for the anti-entropy replication fabric. The service
@@ -208,20 +204,9 @@ impl FabricStats {
     /// A point-in-time copy of the counters (per-counter exact; no
     /// cross-counter atomicity, same contract as [`ServiceStats`]).
     pub fn snapshot(&self) -> FabricStatsSnapshot {
-        // ordering: Relaxed — per-counter exactness is the contract.
-        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        FabricStatsSnapshot {
-            rounds: load(&self.rounds),
-            digests: load(&self.digests),
-            pulled_records: load(&self.pulled_records),
-            pulled_bytes: load(&self.pulled_bytes),
-            ingested: load(&self.ingested),
-            duplicates: load(&self.duplicates),
-            rejected: load(&self.rejected),
-            peer_failures: load(&self.peer_failures),
-            spot_checks: load(&self.spot_checks),
-            peers: load(&self.peers),
-        }
+        let mut snapshot = FabricStatsSnapshot::default();
+        snapshot.load(self);
+        snapshot
     }
 }
 
@@ -248,6 +233,22 @@ pub struct FabricStatsSnapshot {
     pub spot_checks: u64,
     /// Configured peers (gauge).
     pub peers: u64,
+}
+
+impl Family for FabricStatsSnapshot {
+    type Atomics = FabricStats;
+    const METRICS: &'static [Metric<Self>] = &[
+        metric!(Gauge peers, "openapi_fabric_peers", "Anti-entropy peers configured."),
+        metric!(Counter rounds, "openapi_fabric_rounds_total", "Completed anti-entropy rounds."),
+        metric!(Counter digests, "openapi_fabric_digests_total", "Digest exchanges performed against peers."),
+        metric!(Counter pulled_records, "openapi_fabric_pulled_records_total", "Record frames pulled from peers."),
+        metric!(Counter pulled_bytes, "openapi_fabric_pulled_bytes_total", "Bytes of record frames pulled from peers."),
+        metric!(Counter ingested, "openapi_fabric_ingested_total", "Pulled records validated and ingested into the store."),
+        metric!(Counter duplicates, "openapi_fabric_duplicates_total", "Pulled records the local store already held."),
+        metric!(Counter rejected, "openapi_fabric_rejected_total", "Pulled records rejected by validation."),
+        metric!(Counter peer_failures, "openapi_fabric_peer_failures_total", "Anti-entropy rounds lost to transport or peer errors."),
+        metric!(Counter spot_checks, "openapi_fabric_spot_checks_total", "Self-consistency spot-checks run on pulled records."),
+    ];
 }
 
 /// A point-in-time view of [`ServiceStats`] plus the cache gauges (and
@@ -284,7 +285,7 @@ pub struct StatsSnapshot {
     /// Regions evicted from the bounded cache.
     pub evictions: u64,
     /// Regions currently cached.
-    pub cached_regions: usize,
+    pub cached_regions: u64,
     /// Median request latency (`None` before any request completed).
     pub p50_latency: Option<Duration>,
     /// 99th-percentile request latency.
@@ -306,23 +307,53 @@ pub struct StatsSnapshot {
     pub drift: Option<DriftStatsSnapshot>,
 }
 
+impl Family for StatsSnapshot {
+    type Atomics = ServiceStats;
+    const METRICS: &'static [Metric<Self>] = &[
+        metric!(Counter requests, "openapi_requests_total", "Requests submitted to the interpretation service."),
+        metric!(Counter hits, "openapi_cache_hits_total", "Requests served from the shared region cache."),
+        metric!(Counter store_hits, "openapi_store_hits_total", "Requests served from the durable region store."),
+        metric!(Counter misses, "openapi_misses_total", "Requests that led an Algorithm-1 solve."),
+        metric!(Counter coalesced_waits, "openapi_coalesced_waits_total", "Times a request parked behind an in-flight solve."),
+        metric!(Counter coalesced_served, "openapi_coalesced_served_total", "Requests served from a leader's solve."),
+        metric!(Counter failures, "openapi_failures_total", "Requests that completed with an error."),
+        metric!(Counter deadline_expired, "openapi_deadline_expired_total", "Failures caused by an expired deadline."),
+        metric!(Counter queries, "openapi_queries_total", "Prediction queries issued to the model API."),
+        metric!(Counter evictions, "openapi_cache_evictions_total", "Regions evicted from the bounded cache.", owned),
+        metric!(Gauge cached_regions, "openapi_cache_regions", "Regions currently cached.", owned),
+    ];
+}
+
+impl Default for StatsSnapshot {
+    /// An all-zero snapshot: no latency observed, no store, fabric or
+    /// drift view.
+    fn default() -> Self {
+        StatsSnapshot {
+            requests: 0,
+            hits: 0,
+            store_hits: 0,
+            misses: 0,
+            coalesced_waits: 0,
+            coalesced_served: 0,
+            failures: 0,
+            deadline_expired: 0,
+            queries: 0,
+            evictions: 0,
+            cached_regions: 0,
+            p50_latency: None,
+            p99_latency: None,
+            latency_buckets: [0; LATENCY_BUCKETS],
+            stage_buckets: [[0; LATENCY_BUCKETS]; STAGES],
+            store: None,
+            fabric: None,
+            drift: None,
+        }
+    }
+}
+
 impl fmt::Display for StatsSnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "requests {:>8}   hits {:>8} (+{} store)   misses {:>6}   coalesced {:>6} (waits {})",
-            self.requests,
-            self.hits,
-            self.store_hits,
-            self.misses,
-            self.coalesced_served,
-            self.coalesced_waits
-        )?;
-        writeln!(
-            f,
-            "queries  {:>8}   failures {:>4} (deadline {})   regions {:>5} (evicted {})",
-            self.queries, self.failures, self.deadline_expired, self.cached_regions, self.evictions
-        )?;
+        self.write_line(f, "service")?;
         let show = |d: Option<Duration>| match d {
             Some(d) => format!("{:.3} ms", d.as_secs_f64() * 1e3),
             None => "n/a".to_string(),
@@ -330,7 +361,7 @@ impl fmt::Display for StatsSnapshot {
         let q = |buckets: &[u64; LATENCY_BUCKETS], q: f64| quantile_from_buckets(buckets, q);
         writeln!(
             f,
-            "latency  p50 {}   p90 {}   p99 {}",
+            "\nlatency  p50 {}   p90 {}   p99 {}",
             show(q(&self.latency_buckets, 0.5)),
             show(q(&self.latency_buckets, 0.9)),
             show(q(&self.latency_buckets, 0.99)),
@@ -352,28 +383,12 @@ impl fmt::Display for StatsSnapshot {
             write!(f, "\n{store}")?;
         }
         if let Some(fabric) = &self.fabric {
-            write!(
-                f,
-                "\nfabric   peers {:>3}   rounds {:>6}   pulled {:>6} ({} B)   ingested {:>6} (dup {}, rejected {})",
-                fabric.peers,
-                fabric.rounds,
-                fabric.pulled_records,
-                fabric.pulled_bytes,
-                fabric.ingested,
-                fabric.duplicates,
-                fabric.rejected
-            )?;
+            f.write_str("\n")?;
+            fabric.write_line(f, "fabric")?;
         }
         if let Some(drift) = &self.drift {
-            write!(
-                f,
-                "\ndrift    detected {:>4}   invalidated {:>4}   tombstones {:>4}   resolves {:>4}   witnesses {:>6}",
-                drift.detected,
-                drift.invalidated,
-                drift.tombstones,
-                drift.resolves,
-                drift.witnesses
-            )?;
+            f.write_str("\n")?;
+            drift.write_line(f, "drift")?;
         }
         Ok(())
     }
@@ -383,71 +398,17 @@ impl StatsSnapshot {
     /// Renders this snapshot as a Prometheus text-format exposition:
     /// counters, cache gauges, the end-to-end latency histogram, the
     /// per-stage histograms (labelled `stage="queue"` … `stage="reply"`),
-    /// the store's counters when present, and the trace ring's own
-    /// emit/drop counters. Served by the `Metrics` wire request and the
-    /// example server's `--metrics-addr` listener; conventions are
-    /// documented in `docs/OBSERVABILITY.md`.
+    /// the store, fabric and drift families when present, and the trace
+    /// ring's own emit/drop counters. Served by the `Metrics` wire request
+    /// and the example server's `--metrics-addr` listener; conventions and
+    /// the full metric table are in `docs/OBSERVABILITY.md`.
     ///
     /// The ring counters come from this process's global ring, so call it
     /// where the snapshot was taken (the server side), not on a
     /// wire-copied snapshot.
     pub fn to_prometheus(&self) -> String {
-        let mut m = openapi_trace::expose::MetricsText::new();
-        m.counter(
-            "openapi_requests_total",
-            "Requests submitted to the interpretation service.",
-            self.requests,
-        );
-        m.counter(
-            "openapi_cache_hits_total",
-            "Requests served from the shared region cache.",
-            self.hits,
-        );
-        m.counter(
-            "openapi_store_hits_total",
-            "Requests served from the durable region store.",
-            self.store_hits,
-        );
-        m.counter(
-            "openapi_misses_total",
-            "Requests that led an Algorithm-1 solve.",
-            self.misses,
-        );
-        m.counter(
-            "openapi_coalesced_waits_total",
-            "Times a request parked behind an in-flight solve.",
-            self.coalesced_waits,
-        );
-        m.counter(
-            "openapi_coalesced_served_total",
-            "Requests served from a leader's solve.",
-            self.coalesced_served,
-        );
-        m.counter(
-            "openapi_failures_total",
-            "Requests that completed with an error.",
-            self.failures,
-        );
-        m.counter(
-            "openapi_deadline_expired_total",
-            "Failures caused by an expired deadline.",
-            self.deadline_expired,
-        );
-        m.counter(
-            "openapi_queries_total",
-            "Prediction queries issued to the model API.",
-            self.queries,
-        );
-        m.counter(
-            "openapi_cache_evictions_total",
-            "Regions evicted from the bounded cache.",
-            self.evictions,
-        );
-        m.gauge(
-            "openapi_cache_regions",
-            "Regions currently cached.",
-            self.cached_regions as u64,
-        );
+        let mut m = MetricsText::new();
+        m.family(self);
         m.histogram_log2ns(
             "openapi_request_latency_seconds",
             "End-to-end request latency (submit to reply).",
@@ -468,127 +429,15 @@ impl StatsSnapshot {
             &series,
         );
         if let Some(store) = &self.store {
-            m.gauge(
-                "openapi_store_regions",
-                "Distinct regions durable (or queued durable).",
-                store.regions as u64,
-            );
-            m.gauge(
-                "openapi_store_wal_bytes",
-                "Current WAL length in bytes.",
-                store.wal_bytes,
-            );
-            m.counter(
-                "openapi_store_appends_total",
-                "New regions accepted by the store.",
-                store.appends,
-            );
-            m.counter(
-                "openapi_store_fsyncs_total",
-                "Batched fsync calls issued by the flusher.",
-                store.fsyncs,
-            );
-            m.counter(
-                "openapi_store_lookups_total",
-                "Membership lookups served by the store.",
-                store.lookups,
-            );
-            m.counter(
-                "openapi_store_lookup_hits_total",
-                "Store lookups that found their region.",
-                store.hits,
-            );
+            m.family(store);
         }
         if let Some(fabric) = &self.fabric {
-            m.gauge(
-                "openapi_fabric_peers",
-                "Anti-entropy peers configured.",
-                fabric.peers,
-            );
-            m.counter(
-                "openapi_fabric_rounds_total",
-                "Completed anti-entropy rounds.",
-                fabric.rounds,
-            );
-            m.counter(
-                "openapi_fabric_digests_total",
-                "Digest exchanges performed against peers.",
-                fabric.digests,
-            );
-            m.counter(
-                "openapi_fabric_pulled_records_total",
-                "Record frames pulled from peers.",
-                fabric.pulled_records,
-            );
-            m.counter(
-                "openapi_fabric_pulled_bytes_total",
-                "Bytes of record frames pulled from peers.",
-                fabric.pulled_bytes,
-            );
-            m.counter(
-                "openapi_fabric_ingested_total",
-                "Pulled records validated and ingested into the store.",
-                fabric.ingested,
-            );
-            m.counter(
-                "openapi_fabric_duplicates_total",
-                "Pulled records the local store already held.",
-                fabric.duplicates,
-            );
-            m.counter(
-                "openapi_fabric_rejected_total",
-                "Pulled records rejected by validation.",
-                fabric.rejected,
-            );
-            m.counter(
-                "openapi_fabric_peer_failures_total",
-                "Anti-entropy rounds lost to transport or peer errors.",
-                fabric.peer_failures,
-            );
-            m.counter(
-                "openapi_fabric_spot_checks_total",
-                "Self-consistency spot-checks run on pulled records.",
-                fabric.spot_checks,
-            );
+            m.family(fabric);
         }
         if let Some(drift) = &self.drift {
-            m.counter(
-                "openapi_drift_detected_total",
-                "Confirmed drift detections (stale regions caught).",
-                drift.detected,
-            );
-            m.counter(
-                "openapi_drift_invalidated_total",
-                "Cache entries evicted by drift invalidations.",
-                drift.invalidated,
-            );
-            m.counter(
-                "openapi_drift_tombstones_total",
-                "Fresh tombstones written to the durable store.",
-                drift.tombstones,
-            );
-            m.counter(
-                "openapi_drift_resolves_total",
-                "Drifted requests re-solved against the live API.",
-                drift.resolves,
-            );
-            m.gauge(
-                "openapi_drift_witnesses",
-                "Served instances remembered as drift witnesses.",
-                drift.witnesses,
-            );
+            m.family(drift);
         }
-        let ring = openapi_trace::ring_stats();
-        m.counter(
-            "openapi_trace_events_total",
-            "Trace events committed into the ring.",
-            ring.emitted,
-        );
-        m.counter(
-            "openapi_trace_dropped_total",
-            "Trace events dropped by lap contention.",
-            ring.dropped,
-        );
+        m.family(&openapi_trace::ring_stats());
         m.finish()
     }
 }
@@ -698,6 +547,57 @@ mod tests {
         // Without the drift view the series are absent entirely.
         let bare = stats.snapshot(0, 0).to_prometheus();
         assert!(!bare.contains("openapi_drift_"));
+    }
+
+    /// Stores a distinct value into every atomic-backed counter of `S`
+    /// through its declaration, loads a snapshot, and checks each value
+    /// landed in its own field.
+    fn check_load<S: Family + Default>(atomics: &S::Atomics) {
+        for (i, m) in S::METRICS.iter().enumerate() {
+            if let Some(cell) = m.atomic {
+                // ordering: Relaxed — single-threaded test setup.
+                cell(atomics).store(100 + i as u64, Ordering::Relaxed);
+            }
+        }
+        let mut snapshot = S::default();
+        snapshot.load(atomics);
+        for (i, m) in S::METRICS.iter().enumerate() {
+            let want = if m.atomic.is_some() {
+                100 + i as u64
+            } else {
+                0
+            };
+            assert_eq!((m.get)(&snapshot), want, "{}", m.name);
+        }
+    }
+
+    #[test]
+    fn every_atomic_backed_counter_loads_into_its_own_field() {
+        check_load::<StatsSnapshot>(&ServiceStats::default());
+        check_load::<FabricStatsSnapshot>(&FabricStats::default());
+        check_load::<DriftStatsSnapshot>(&DriftStats::default());
+    }
+
+    /// docs/OBSERVABILITY.md's metric table lists exactly the declared
+    /// counters and gauges, in exposition order, with kind and help text.
+    #[test]
+    fn the_documented_metric_table_matches_the_declarations() {
+        fn rows<S: Family>() -> impl Iterator<Item = String> {
+            S::METRICS
+                .iter()
+                .map(|m| format!("| `{}` | {} | {} |", m.name, m.kind.as_str(), m.help))
+        }
+        let declared: Vec<String> = rows::<StatsSnapshot>()
+            .chain(rows::<StoreStatsSnapshot>())
+            .chain(rows::<FabricStatsSnapshot>())
+            .chain(rows::<DriftStatsSnapshot>())
+            .chain(rows::<openapi_trace::RingStats>())
+            .collect();
+        let documented: Vec<&str> = include_str!("../../../docs/OBSERVABILITY.md")
+            .lines()
+            .filter(|l| l.contains(" | counter | ") || l.contains(" | gauge | "))
+            .collect();
+        assert_eq!(documented, declared);
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Atomic store statistics: recovery, append, flush, and lookup counters.
 
 use openapi_sync::atomic::{AtomicU64, Ordering};
+use openapi_trace::expose::{Family, Metric};
+use openapi_trace::metric;
 use std::fmt;
 
 /// Lock-free counters the store's callers and its flusher thread record
@@ -42,33 +44,24 @@ impl StoreStats {
     /// filled in by [`crate::RegionStore::stats`].
     ///
     /// # Torn reads
-    /// Counters are loaded one by one with no cross-counter atomicity: a
-    /// snapshot racing the flusher may see an append without its flush.
-    /// Each counter is individually exact; after `flush`/`close` returns,
-    /// the barrier ack's channel edge makes the whole snapshot exact.
+    /// Per-counter exact only (see [`Family::load`]): a snapshot racing
+    /// the flusher may see an append without its flush. After
+    /// `flush`/`close` returns, the barrier ack's channel edge makes the
+    /// whole snapshot exact.
     pub(crate) fn snapshot(
         &self,
-        regions: usize,
+        regions: u64,
         wal_bytes: u64,
-        segments: usize,
+        segments: u64,
     ) -> StoreStatsSnapshot {
-        // ordering: Relaxed — see the torn-reads contract above.
-        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        StoreStatsSnapshot {
+        let mut snapshot = StoreStatsSnapshot {
             regions,
             wal_bytes,
             segments,
-            appends: load(&self.appends),
-            duplicate_appends: load(&self.duplicate_appends),
-            flushed_records: load(&self.flushed_records),
-            fsyncs: load(&self.fsyncs),
-            lookups: load(&self.lookups),
-            hits: load(&self.hits),
-            compactions: load(&self.compactions),
-            recovered_wal_records: load(&self.recovered_wal_records),
-            recovered_segment_records: load(&self.recovered_segment_records),
-            recovered_discarded_bytes: load(&self.recovered_discarded_bytes),
-        }
+            ..StoreStatsSnapshot::default()
+        };
+        snapshot.load(self);
+        snapshot
     }
 }
 
@@ -76,11 +69,11 @@ impl StoreStats {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StoreStatsSnapshot {
     /// Distinct regions durable (or queued durable) right now.
-    pub regions: usize,
+    pub regions: u64,
     /// Current WAL length in bytes (header included).
     pub wal_bytes: u64,
     /// Sealed segment files on disk.
-    pub segments: usize,
+    pub segments: u64,
     /// New regions accepted.
     pub appends: u64,
     /// Appends skipped as already-durable duplicates.
@@ -103,23 +96,28 @@ pub struct StoreStatsSnapshot {
     pub recovered_discarded_bytes: u64,
 }
 
+impl Family for StoreStatsSnapshot {
+    type Atomics = StoreStats;
+    const METRICS: &'static [Metric<Self>] = &[
+        metric!(Gauge regions, "openapi_store_regions", "Distinct regions durable (or queued durable).", owned),
+        metric!(Gauge wal_bytes, "openapi_store_wal_bytes", "Current WAL length in bytes.", owned),
+        metric!(Gauge segments, "openapi_store_segments", "Sealed segment files on disk.", owned),
+        metric!(Counter appends, "openapi_store_appends_total", "New regions accepted by the store."),
+        metric!(Counter duplicate_appends, "openapi_store_duplicate_appends_total", "Appends skipped as already-durable duplicates."),
+        metric!(Counter flushed_records, "openapi_store_flushed_records_total", "Records written to the WAL by the flusher."),
+        metric!(Counter fsyncs, "openapi_store_fsyncs_total", "Batched fsync calls issued by the flusher."),
+        metric!(Counter lookups, "openapi_store_lookups_total", "Membership lookups served by the store."),
+        metric!(Counter hits, "openapi_store_lookup_hits_total", "Store lookups that found their region."),
+        metric!(Counter compactions, "openapi_store_compactions_total", "Compaction passes completed."),
+        metric!(Counter recovered_wal_records, "openapi_store_recovered_wal_records_total", "Records replayed from the WAL at open."),
+        metric!(Counter recovered_segment_records, "openapi_store_recovered_segment_records_total", "Records replayed from sealed segments at open."),
+        metric!(Counter recovered_discarded_bytes, "openapi_store_recovered_discarded_bytes_total", "Torn or corrupt tail bytes clipped during recovery."),
+    ];
+}
+
 impl fmt::Display for StoreStatsSnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "store    regions {:>6}   hits {:>8}/{:<8}   appends {:>6} (+{} dup)",
-            self.regions, self.hits, self.lookups, self.appends, self.duplicate_appends
-        )?;
-        write!(
-            f,
-            "durable  wal {:>8} B   segments {:>3}   fsyncs {:>5}   recovered {}+{} (clipped {} B)",
-            self.wal_bytes,
-            self.segments,
-            self.fsyncs,
-            self.recovered_segment_records,
-            self.recovered_wal_records,
-            self.recovered_discarded_bytes
-        )
+        self.write_line(f, "store")
     }
 }
 

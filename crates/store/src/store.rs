@@ -402,13 +402,13 @@ impl RegionStore {
     /// A point-in-time statistics snapshot (counters + gauges).
     pub fn stats(&self) -> StoreStatsSnapshot {
         self.shared.stats.snapshot(
-            self.len(),
+            self.len() as u64,
             // ordering: Relaxed — gauges mirrored out of mutex-protected
             // state so a snapshot never queues behind an fsync; each load
             // is individually exact, cross-gauge tearing is accepted.
             // ordering: (same for both loads below)
             self.shared.wal_bytes.load(Ordering::Relaxed),
-            self.shared.segments.load(Ordering::Relaxed) as usize,
+            self.shared.segments.load(Ordering::Relaxed),
         )
     }
 
@@ -936,17 +936,21 @@ mod tests {
         }
         store.flush().unwrap();
         // The compaction runs on the flusher right after the barrier acks;
-        // wait for it to land.
+        // wait for it to land. A snapshot racing the pass may tear across
+        // its gauges and counter (see `StoreStats::snapshot`), so wait for
+        // all three to show the finished pass: one sealed segment.
         let deadline = openapi_trace::clock::now() + std::time::Duration::from_secs(30);
         loop {
             let stats = store.stats();
-            if stats.compactions >= 1 && stats.wal_bytes == crate::wal::WAL_HEADER {
-                assert_eq!(stats.segments, 1);
+            if stats.compactions >= 1
+                && stats.wal_bytes == crate::wal::WAL_HEADER
+                && stats.segments == 1
+            {
                 break;
             }
             assert!(
                 openapi_trace::clock::now() < deadline,
-                "flusher never compacted the live WAL"
+                "flusher never compacted the live WAL into one segment: {stats}"
             );
             std::thread::yield_now();
         }

@@ -3,14 +3,11 @@
 //! paper's guarantees must hold under contention — every returned
 //! interpretation explains its own probe (exactness via Theorem 2), the
 //! bounded cache never exceeds its capacity, and the statistics ledger adds
-//! up request by request. Plus a property-based round-trip of the cache
-//! snapshot codec.
+//! up request by request.
 
 use openapi_repro::api::CountingApi;
-use openapi_repro::core::decision::PairwiseCoreParams;
 use openapi_repro::prelude::*;
-use openapi_repro::serve::{CacheSnapshot, ServeOutcome, SnapshotEntry, Ticket};
-use proptest::prelude::*;
+use openapi_repro::serve::{ServeOutcome, Ticket};
 use std::time::Duration;
 
 mod common;
@@ -178,61 +175,4 @@ fn capacity_bound_holds_under_many_distinct_regions() {
         service.stats().evictions > 0,
         "6 class/region pairs through a 2-capacity cache must evict"
     );
-}
-
-/// Strategy: an arbitrary (but valid) interpretation — 1–3 contrasts over
-/// distinct classes, finite weights/biases at mixed magnitudes.
-fn arb_interpretation() -> impl Strategy<Value = Interpretation> {
-    (
-        0usize..4,
-        1usize..4,
-        prop::collection::vec(-1e6f64..1e6, 1..6),
-    )
-        .prop_flat_map(|(class, contrasts, weights)| {
-            let d = weights.len();
-            prop::collection::vec(
-                (prop::collection::vec(-1e6f64..1e6, d), -1e3f64..1e3),
-                contrasts..=contrasts,
-            )
-            .prop_map(move |per_contrast| {
-                let pairwise = per_contrast
-                    .into_iter()
-                    .enumerate()
-                    .map(|(k, (w, bias))| PairwiseCoreParams {
-                        // Distinct contrast classes, never equal to `class`.
-                        c_prime: class + k + 1,
-                        weights: Vector(w),
-                        bias,
-                    })
-                    .collect();
-                Interpretation::from_pairwise(class, pairwise).expect("non-empty contrasts")
-            })
-        })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn cache_snapshot_round_trips_fingerprints_and_parameters(
-        interps in prop::collection::vec(arb_interpretation(), 0..8)
-    ) {
-        let snapshot = CacheSnapshot {
-            entries: interps
-                .iter()
-                .map(|i| SnapshotEntry {
-                    fingerprint: i.fingerprint(6),
-                    interpretation: std::sync::Arc::new(i.clone()),
-                })
-                .collect(),
-        };
-        let decoded = CacheSnapshot::from_bytes(&snapshot.to_bytes()).unwrap();
-        prop_assert_eq!(&decoded, &snapshot);
-        for (entry, original) in decoded.entries.iter().zip(&interps) {
-            // Recovered parameters are bit-identical…
-            prop_assert_eq!(entry.interpretation.as_ref(), original);
-            // …so the canonical fingerprint recomputes identically too.
-            prop_assert_eq!(entry.fingerprint, entry.interpretation.fingerprint(6));
-        }
-    }
 }

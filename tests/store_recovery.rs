@@ -7,14 +7,15 @@
 //! store directory re-serves every previously solved region with zero
 //! additional Algorithm-1 solves, and a store written by a *different*
 //! model degrades to ordinary solves (membership re-verification guards
-//! every serve).
+//! every serve). Plus a property-based round trip of arbitrary
+//! interpretations through the record codec, bit for bit.
 
 use openapi_repro::api::CountingApi;
 use openapi_repro::core::decision::{Interpretation, PairwiseCoreParams};
 use openapi_repro::prelude::*;
 use openapi_repro::serve::ServeOutcome;
 use openapi_repro::store::record::{
-    encode_record, encode_tombstone, RegionTombstone, StoreRecord, StoredRegion,
+    self, encode_record, encode_tombstone, RegionTombstone, StoreRecord, StoredRegion,
 };
 use openapi_repro::store::{Wal, WAL_MAGIC};
 use openapi_repro::sync::atomic::{AtomicU64, Ordering};
@@ -455,4 +456,58 @@ fn a_recovered_tombstone_still_suppresses_its_region() {
     assert_suppressed(&store, "after compacted restart");
     store.close().unwrap();
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Strategy: an arbitrary (but valid) interpretation — 1–3 contrasts over
+/// distinct classes, finite weights/biases at mixed magnitudes.
+fn arb_interpretation() -> impl Strategy<Value = Interpretation> {
+    (
+        0usize..4,
+        1usize..4,
+        prop::collection::vec(-1e6f64..1e6, 1..6),
+    )
+        .prop_flat_map(|(class, contrasts, weights)| {
+            let d = weights.len();
+            prop::collection::vec(
+                (prop::collection::vec(-1e6f64..1e6, d), -1e3f64..1e3),
+                contrasts..=contrasts,
+            )
+            .prop_map(move |per_contrast| {
+                let pairwise = per_contrast
+                    .into_iter()
+                    .enumerate()
+                    .map(|(k, (w, bias))| PairwiseCoreParams {
+                        // Distinct contrast classes, never equal to `class`.
+                        c_prime: class + k + 1,
+                        weights: Vector(w),
+                        bias,
+                    })
+                    .collect();
+                Interpretation::from_pairwise(class, pairwise).expect("non-empty contrasts")
+            })
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn record_codec_round_trips_fingerprints_and_parameters(
+        interps in prop::collection::vec(arb_interpretation(), 0..8)
+    ) {
+        let mut bytes = Vec::new();
+        for i in &interps {
+            record::put_record(&mut bytes, i.fingerprint(6), i);
+        }
+        let mut rest = bytes.as_slice();
+        for original in &interps {
+            let decoded = record::get_record(&mut rest).unwrap();
+            // Recovered parameters are bit-identical…
+            prop_assert_eq!(decoded.interpretation.as_ref(), original);
+            prop_assert_eq!(decoded.fingerprint, original.fingerprint(6));
+            // …so the canonical fingerprint recomputes identically too.
+            prop_assert_eq!(decoded.fingerprint, decoded.interpretation.fingerprint(6));
+        }
+        prop_assert!(rest.is_empty(), "every frame consumed exactly");
+    }
 }
