@@ -23,8 +23,9 @@
 //!   continuous across boundaries, so the served parameters still explain
 //!   `x`'s observable behaviour to the same tolerance Algorithm 1 itself
 //!   accepts solutions at (its consistency check admits borderline sample
-//!   sets the same way). A hit costs 1 query instead of
-//!   `1 + iterations · (d+1)`.
+//!   sets the same way). A hit costs 1 query instead of a solve's
+//!   [`crate::openapi::OpenApiResult::queries`] (`1 + iterations · (d+1)`
+//!   under the paper's halving).
 //! * **Key** ([`crate::decision::region_fingerprint`]): recovered parameters
 //!   are canonicalized and hashed, so two misses that independently solved
 //!   the same region (e.g. a borderline membership tolerance) merge into one
@@ -223,7 +224,7 @@ impl BatchInterpreter {
     /// deduplicating by region.
     ///
     /// Each instance costs one membership probe; cache hits stop there
-    /// (1 query instead of Algorithm 1's `1 + iterations · (d+1)`), misses
+    /// (1 query instead of a full Algorithm-1 solve), misses
     /// reuse the probe as Algorithm 1's `x⁰` equation so nothing is queried
     /// twice. Results are in input order; per-instance failures land as
     /// `Err` entries without aborting the batch.
@@ -330,7 +331,7 @@ impl BatchInterpreter {
                         Ok(self.admit(solved.interpretation, None, solved.queries))
                     }
                     Err(e) => {
-                        stats.queries += queries_consumed(&e, dim);
+                        stats.queries += queries_consumed(&e);
                         stats.failures += 1;
                         Err(e)
                     }
@@ -420,7 +421,7 @@ impl BatchInterpreter {
             .interpreter
             .interpret(api, x, class, rng)
             .inspect_err(|e| {
-                stats.queries += 1 + queries_consumed(e, api.dim());
+                stats.queries += 1 + queries_consumed(e);
             })?;
         stats.queries += solved.queries;
         stats.misses += 1;
@@ -460,14 +461,14 @@ fn new_stats(instances: usize) -> BatchStats {
     }
 }
 
-/// Query cost of a failed interpretation, reconstructed from the error (a
-/// failed run returns no [`crate::openapi::OpenApiResult`] to read it from).
-/// Budget exhaustion spends `d + 1` sampling queries per iteration; argument
+/// Sampling queries a failed interpretation spent beyond `x⁰`'s probe, read
+/// off the error (a failed run returns no [`crate::openapi::OpenApiResult`]
+/// to read it from). Budget exhaustion carries its own count; argument
 /// validation spends none. Public so other accounting layers (the
 /// `openapi-serve` service) charge failures identically.
-pub fn queries_consumed(error: &InterpretError, d: usize) -> usize {
+pub fn queries_consumed(error: &InterpretError) -> usize {
     match error {
-        InterpretError::BudgetExhausted { iterations, .. } => iterations * (d + 1),
+        InterpretError::BudgetExhausted { queries, .. } => queries.saturating_sub(1),
         _ => 0,
     }
 }

@@ -17,6 +17,9 @@ pub enum InterpretError {
         final_edge: f64,
         /// Contrast classes `c'` still lacking a consistent system.
         unsatisfied: Vec<usize>,
+        /// Prediction queries issued, `x⁰`'s probe included (as
+        /// [`crate::openapi::OpenApiResult::queries`] counts them).
+        queries: usize,
     },
     /// The target class is out of range for the model.
     ClassOutOfRange {
@@ -44,9 +47,9 @@ pub enum InterpretError {
 impl fmt::Display for InterpretError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            InterpretError::BudgetExhausted { iterations, final_edge, unsatisfied } => write!(
+            InterpretError::BudgetExhausted { iterations, final_edge, unsatisfied, queries } => write!(
                 f,
-                "no consistent system after {iterations} iterations (edge {final_edge:.3e}; contrasts still failing: {unsatisfied:?})"
+                "no consistent system after {iterations} iterations and {queries} queries (edge {final_edge:.3e}; contrasts still failing: {unsatisfied:?})"
             ),
             InterpretError::ClassOutOfRange { class, num_classes } => {
                 write!(f, "class {class} out of range ({num_classes} classes)")
@@ -87,9 +90,10 @@ mod tests {
             iterations: 100,
             final_edge: 7.8e-31,
             unsatisfied: vec![3, 7],
+            queries: 1601,
         };
         let s = e.to_string();
-        assert!(s.contains("100"));
+        assert!(s.contains("100") && s.contains("1601"));
         assert!(s.contains('3') && s.contains('7'));
 
         assert!(InterpretError::ClassOutOfRange {

@@ -82,4 +82,4 @@ pub use decision::{
 pub use error::InterpretError;
 pub use method::Method;
 pub use naive::{NaiveConfig, NaiveInterpreter};
-pub use openapi::{OpenApiConfig, OpenApiInterpreter, OpenApiResult};
+pub use openapi::{EdgeSearch, OpenApiConfig, OpenApiInterpreter, OpenApiResult};

@@ -8,12 +8,18 @@
 //! probability 1). Otherwise the hypercube edge is halved and the sampling
 //! repeats — adaptively shrinking until the cube fits inside `x⁰`'s locally
 //! linear region, with no knowledge of where that region's boundaries lie.
+//!
+//! [`EdgeSearch::PreScreen`] makes the failed rungs of that search cheap:
+//! inside one region every log-ratio is affine in `x` (Theorem 2), so a
+//! segment from `x⁰` whose midpoint breaks `lr(m) = (lr(x⁰) + lr(x))/2`
+//! proves the cube straddles a boundary after 2 queries, before the other
+//! `d + 1` are paid. Acceptance is still the full `Ω_{d+2}` check.
 
 use crate::decision::Interpretation;
 use crate::equations::{ConsistencySolver, EquationSystem, Probe};
 use crate::error::InterpretError;
-use crate::sampler::sample_many;
-use openapi_api::PredictionApi;
+use crate::sampler::{sample_in_hypercube, sample_many};
+use openapi_api::{log_ratio, PredictionApi};
 use openapi_linalg::solve::ConsistencyStrategy;
 use openapi_linalg::{LinalgError, Vector};
 use rand::Rng;
@@ -33,6 +39,8 @@ pub struct OpenApiConfig {
     pub rtol: f64,
     /// Which consistency check to run (see the solver ablation).
     pub strategy: ConsistencyStrategy,
+    /// How each rung of the edge search is paid for (paper: halving).
+    pub edge_search: EdgeSearch,
 }
 
 impl Default for OpenApiConfig {
@@ -43,12 +51,47 @@ impl Default for OpenApiConfig {
             shrink_factor: 0.5,
             rtol: 1e-6,
             strategy: ConsistencyStrategy::SquareThenCheck,
+            edge_search: EdgeSearch::Halving,
+        }
+    }
+}
+
+/// Segments [`EdgeSearch::PreScreen`] tests per rung before it samples the
+/// rest of `Ω_{d+2}`: 8, capped at `⌊(d+1)/4⌋` so the screen never costs
+/// more than half a rung and a model with `d < 3` runs the paper's rung.
+pub const PRESCREEN_SEGMENTS: usize = 8;
+
+/// How Algorithm 1 spends each rung of its halving edge search.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EdgeSearch {
+    /// The paper's rung: sample `d + 1` instances, query them all, factor
+    /// `Ω_{d+2}` and check every contrast. A rung costs `d + 1` queries,
+    /// so a solve costs `1 + iterations · (d+1)`.
+    Halving,
+    /// Before the paper's rung, draw `k` endpoints `x_j`
+    /// ([`PRESCREEN_SEGMENTS`]) one at a time and query each with its
+    /// midpoint `m_j = (x⁰ + x_j)/2`. A midpoint whose log-ratios are not
+    /// the mean of its ends' (within `rtol`) halves the edge at once: no
+    /// system is built. If all `k` pass, the endpoints become the first
+    /// `k` of the `d + 1` samples and acceptance is the unchanged
+    /// `Ω_{d+2}` check. Midpoints never enter `Ω`: they are collinear
+    /// with `x⁰`.
+    PreScreen,
+}
+
+impl EdgeSearch {
+    /// Segments screened per rung at dimension `d` (`0` under
+    /// [`EdgeSearch::Halving`]).
+    pub(crate) fn segments(self, d: usize) -> usize {
+        match self {
+            EdgeSearch::Halving => 0,
+            EdgeSearch::PreScreen => PRESCREEN_SEGMENTS.min((d + 1) / 4),
         }
     }
 }
 
 /// One iteration's diagnostics.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IterationLog {
     /// Hypercube edge used this iteration.
     pub edge: f64,
@@ -66,6 +109,12 @@ pub struct IterationLog {
     pub worst_residual: f64,
     /// Whether the sampled geometry degenerated (singular/rank-deficient).
     pub degenerate: bool,
+    /// Prediction queries this rung spent (midpoints included).
+    pub queries: usize,
+    /// Whether the pre-screen rejected this rung: a midpoint broke the
+    /// affine identity, so nothing was factorized, `consistent_contrasts`
+    /// is 0 and `worst_residual` is that midpoint's defect.
+    pub screened: bool,
 }
 
 /// Successful OpenAPI output with full diagnostics.
@@ -77,12 +126,15 @@ pub struct OpenApiResult {
     pub iterations: usize,
     /// Hypercube edge of the successful iteration.
     pub final_edge: f64,
-    /// Prediction queries issued (`1 + iterations · (d+1)`).
+    /// Prediction queries issued, `x⁰`'s probe included:
+    /// `1 + Σ log[i].queries` (the paper's `1 + iterations · (d+1)` under
+    /// [`EdgeSearch::Halving`]).
     pub queries: usize,
     /// Per-iteration log (length = `iterations`).
     pub log: Vec<IterationLog>,
     /// The `d + 1` sampled instances of the successful iteration (the set
-    /// whose quality the paper's RD/WD experiments measure).
+    /// whose quality the paper's RD/WD experiments measure); under
+    /// [`EdgeSearch::PreScreen`] the screened endpoints come first.
     pub samples: Vec<Vector>,
 }
 
@@ -177,23 +229,59 @@ impl OpenApiInterpreter {
         }
         validate_class(c_total, class)?;
         let x0 = x0_probe.x.clone();
+        let segments = self.config.edge_search.segments(d);
         let mut queries = 1usize;
         let mut edge = self.config.initial_edge;
         let mut log = Vec::new();
 
         for iteration in 1..=self.config.max_iterations {
-            // Sample d + 1 fresh instances; together with x0 they form the
-            // d + 2 equations of Ω_{d+2}.
-            let samples = sample_many(x0.as_slice(), edge, d + 1, rng);
             let mut probes = Vec::with_capacity(d + 2);
             probes.push(x0_probe.clone());
-            for x in &samples {
-                probes.push(Probe::query(api, x.clone()));
+            let mut samples = Vec::with_capacity(d + 1);
+            let mut spent = 0;
+            let mut defect = None;
+            for _ in 0..segments {
+                let x = sample_in_hypercube(x0.as_slice(), edge, rng);
+                let m = Vector(
+                    x0.iter()
+                        .zip(x.iter())
+                        .map(|(a, b)| 0.5 * (a + b))
+                        .collect(),
+                );
+                let end = Probe::query(api, x.clone());
+                let mid = Probe::query(api, m);
+                spent += 2;
+                defect = self.midpoint_defect(&x0_probe, &end, &mid, class, c_total);
+                if defect.is_some() {
+                    break;
+                }
+                probes.push(end);
+                samples.push(x);
             }
-            queries += d + 1;
-
-            let system = EquationSystem::new(probes);
-            let outcome = self.try_all_contrasts(&system, class, c_total);
+            let outcome = match defect {
+                Some(defect) => Err(IterationLog {
+                    edge,
+                    consistent_contrasts: 0,
+                    required_contrasts: c_total - 1,
+                    worst_residual: defect,
+                    degenerate: false,
+                    queries: spent,
+                    screened: true,
+                }),
+                None => {
+                    // Fill up to d + 1 fresh instances; together with x0
+                    // they form the d + 2 equations of Ω_{d+2}.
+                    let fill = d + 1 - segments;
+                    for x in sample_many(x0.as_slice(), edge, fill, rng) {
+                        probes.push(Probe::query(api, x.clone()));
+                        samples.push(x);
+                    }
+                    spent += fill;
+                    let system = EquationSystem::new(probes);
+                    self.try_all_contrasts(&system, class, c_total)
+                }
+            };
+            queries += spent;
             match outcome {
                 Ok((pairwise, worst_residual)) => {
                     log.push(IterationLog {
@@ -202,6 +290,8 @@ impl OpenApiInterpreter {
                         required_contrasts: c_total - 1,
                         worst_residual,
                         degenerate: false,
+                        queries: spent,
+                        screened: false,
                     });
                     let interpretation = Interpretation::from_pairwise(class, pairwise)?;
                     return Ok(OpenApiResult {
@@ -214,7 +304,11 @@ impl OpenApiInterpreter {
                     });
                 }
                 Err(iter_log) => {
-                    log.push(IterationLog { edge, ..iter_log });
+                    log.push(IterationLog {
+                        edge,
+                        queries: spent,
+                        ..iter_log
+                    });
                     edge *= self.config.shrink_factor;
                     if edge < f64::MIN_POSITIVE * 4.0 {
                         // The cube has shrunk below representable widths;
@@ -230,6 +324,32 @@ impl OpenApiInterpreter {
             iterations: log.len(),
             final_edge: edge,
             unsatisfied,
+            queries,
+        })
+    }
+
+    /// The pre-screen's test of one segment `x⁰ → x`: inside one region
+    /// every log-ratio is affine (Theorem 2), so at the midpoint `m`
+    /// `lr(m) = (lr(x⁰) + lr(x))/2` for every contrast. Returns the first
+    /// contrast's defect `|lr(m) − (lr(x⁰) + lr(x))/2|` above
+    /// `rtol · max(1, |lr(x⁰)|, |lr(x)|, |lr(m)|)`, or `None` when the
+    /// segment passes (a NaN defect fails).
+    fn midpoint_defect(
+        &self,
+        x0: &Probe,
+        end: &Probe,
+        mid: &Probe,
+        class: usize,
+        c_total: usize,
+    ) -> Option<f64> {
+        (0..c_total).filter(|&cp| cp != class).find_map(|cp| {
+            let lr = |p: &Probe| log_ratio(p.probs.as_slice(), class, cp);
+            let (at0, at_end, at_mid) = (lr(x0), lr(end), lr(mid));
+            let defect = (at_mid - 0.5 * (at0 + at_end)).abs();
+            let scale = at0.abs().max(at_end.abs()).max(at_mid.abs()).max(1.0);
+            // A NaN defect compares false here, so it fails the screen.
+            let passes = defect <= self.config.rtol * scale;
+            (!passes).then_some(defect)
         })
     }
 
@@ -249,7 +369,7 @@ impl OpenApiInterpreter {
 
     /// Checks every contrast on one sampled system. On success returns the
     /// recovered pairwise parameters; on failure returns the iteration log
-    /// entry (minus the edge, filled by the caller).
+    /// entry (minus the edge and queries, filled by the caller).
     fn try_all_contrasts(
         &self,
         system: &EquationSystem,
@@ -267,6 +387,8 @@ impl OpenApiInterpreter {
                     required_contrasts: required,
                     worst_residual: f64::INFINITY,
                     degenerate: true,
+                    queries: 0,
+                    screened: false,
                 });
             }
         };
@@ -290,6 +412,8 @@ impl OpenApiInterpreter {
                             required_contrasts: required,
                             worst_residual,
                             degenerate: false,
+                            queries: 0,
+                            screened: false,
                         });
                     }
                 }
@@ -300,6 +424,8 @@ impl OpenApiInterpreter {
                         required_contrasts: required,
                         worst_residual: f64::INFINITY,
                         degenerate: true,
+                        queries: 0,
+                        screened: false,
                     });
                 }
             }
@@ -459,15 +585,148 @@ mod tests {
         assert!((cs - 1.0).abs() < 1e-9, "cosine similarity {cs}");
     }
 
+    /// A `d`-dimensional, 3-class two-region PLM split at `x_0 = 0.5`.
+    fn wide_two_region_model(d: usize) -> TwoRegionPlm {
+        let low = LocalLinearModel::new(
+            Matrix::from_fn(d, 3, |r, c| ((r * 3 + c) % 7) as f64 * 0.1 - 0.3),
+            Vector(vec![0.1, -0.2, 0.05]),
+        );
+        let high = LocalLinearModel::new(
+            Matrix::from_fn(d, 3, |r, c| ((r * 5 + c * 2) % 9) as f64 * 0.08 - 0.35),
+            Vector(vec![-0.3, 0.25, 0.0]),
+        );
+        TwoRegionPlm::axis_split(0, 0.5, low, high)
+    }
+
+    fn config(edge_search: EdgeSearch) -> OpenApiConfig {
+        OpenApiConfig {
+            edge_search,
+            ..OpenApiConfig::default()
+        }
+    }
+
+    /// `x⁰` 0.01 below the split of [`wide_two_region_model`].
+    fn near_split(d: usize) -> Vector {
+        let mut x0 = vec![0.1; d];
+        x0[0] = 0.49;
+        Vector(x0)
+    }
+
     #[test]
     fn query_accounting_matches_iterations() {
-        let api = CountingApi::new(linear_model());
-        let x0 = Vector(vec![0.0, 0.0, 0.0, 0.0]);
-        let interp = OpenApiInterpreter::default();
-        let mut rng = StdRng::seed_from_u64(5);
-        let res = interp.interpret(&api, &x0, 0, &mut rng).unwrap();
-        assert_eq!(res.queries as u64, api.queries());
-        assert_eq!(res.queries, 1 + res.iterations * (api.dim() + 1));
+        // Near the split both policies shrink and the pre-screen screens;
+        // every query is the probe or some logged rung's.
+        for edge_search in [EdgeSearch::Halving, EdgeSearch::PreScreen] {
+            let interp = OpenApiInterpreter::new(config(edge_search));
+            for seed in 0..5 {
+                let api = CountingApi::new(wide_two_region_model(35));
+                let mut rng = StdRng::seed_from_u64(seed);
+                let res = interp
+                    .interpret(&api, &near_split(35), 1, &mut rng)
+                    .unwrap();
+                let rungs: usize = res.log.iter().map(|l| l.queries).sum();
+                assert_eq!(res.queries, 1 + rungs, "{edge_search:?} seed {seed}");
+                assert_eq!(res.queries as u64, api.queries());
+                assert_eq!(res.samples.len(), 36);
+                if edge_search == EdgeSearch::Halving {
+                    assert_eq!(res.queries, 1 + res.iterations * 36);
+                }
+            }
+            // Budget exhaustion on the split itself carries its own count.
+            let api = CountingApi::new(wide_two_region_model(35));
+            let mut on_split = near_split(35);
+            on_split[0] = 0.5;
+            let budget = OpenApiConfig {
+                max_iterations: 4,
+                ..config(edge_search)
+            };
+            let mut rng = StdRng::seed_from_u64(9);
+            match OpenApiInterpreter::new(budget).interpret(&api, &on_split, 0, &mut rng) {
+                Err(InterpretError::BudgetExhausted {
+                    iterations,
+                    queries,
+                    ..
+                }) => {
+                    assert_eq!(iterations, 4);
+                    assert_eq!(queries as u64, api.queries(), "{edge_search:?}");
+                }
+                other => panic!("{edge_search:?}: expected exhaustion, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn prescreen_is_exact_near_a_boundary_and_screens_straddling_rungs() {
+        // d = 35, so k = 8 segments per rung; x0 sits 0.01 from the split.
+        let d = 35;
+        assert_eq!(EdgeSearch::PreScreen.segments(d), PRESCREEN_SEGMENTS);
+        let api = wide_two_region_model(d);
+        let x0 = near_split(d);
+        let truth = api.local_model(x0.as_slice()).decision_features(0);
+        let interp = OpenApiInterpreter::new(config(EdgeSearch::PreScreen));
+        let mut screened = 0;
+        for seed in 0..10 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let res = interp.interpret(&api, &x0, 0, &mut rng).unwrap();
+            let err = res
+                .interpretation
+                .decision_features
+                .l1_distance(&truth)
+                .unwrap();
+            assert!(err < 1e-7, "seed {seed}: L1Dist {err}");
+            for l in res.log.iter().filter(|l| l.screened) {
+                screened += 1;
+                // Rejected after j ≤ k segments of 2 queries, with no system.
+                assert!(l.queries % 2 == 0 && l.queries <= 2 * PRESCREEN_SEGMENTS);
+                assert_eq!(l.consistent_contrasts, 0);
+                assert!(!l.degenerate && l.worst_residual > 0.0);
+            }
+            let last = res.log.last().unwrap();
+            assert!(!last.screened);
+            assert_eq!(last.queries, d + 1 + PRESCREEN_SEGMENTS);
+        }
+        assert!(screened > 0, "no rung was screened over 10 seeds");
+    }
+
+    #[test]
+    fn prescreen_replays_bit_for_bit_from_its_seed() {
+        let api = wide_two_region_model(35);
+        let interp = OpenApiInterpreter::new(config(EdgeSearch::PreScreen));
+        let run = |seed| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            interp
+                .interpret(&api, &near_split(35), 2, &mut rng)
+                .unwrap()
+        };
+        for seed in 0..3 {
+            let (a, b) = (run(seed), run(seed));
+            assert_eq!(a.interpretation, b.interpretation);
+            assert_eq!(a.queries, b.queries);
+            assert_eq!(a.log, b.log);
+            assert_eq!(a.samples, b.samples);
+        }
+    }
+
+    #[test]
+    fn prescreen_without_segments_is_the_paper_rung() {
+        // d = 2 caps k at ⌊3/4⌋ = 0: the pre-screen must be bit-identical
+        // to halving, queries and log included.
+        assert_eq!(EdgeSearch::PreScreen.segments(2), 0);
+        let api = two_region_model();
+        let x0 = Vector(vec![0.49, 0.3]);
+        for seed in 0..10 {
+            let run = |edge_search| {
+                let mut rng = StdRng::seed_from_u64(seed);
+                OpenApiInterpreter::new(config(edge_search))
+                    .interpret(&api, &x0, 0, &mut rng)
+                    .unwrap()
+            };
+            let (paper, screen) = (run(EdgeSearch::Halving), run(EdgeSearch::PreScreen));
+            assert_eq!(paper.interpretation, screen.interpretation);
+            assert_eq!(paper.queries, screen.queries);
+            assert_eq!(paper.log, screen.log);
+            assert_eq!(paper.samples, screen.samples);
+        }
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! converges to an honest interpretation of the degraded API itself
 //! (deterministic quantization plateaus); the naive method errs silently.
 
-use openapi_api::{GroundTruthOracle, LinearSoftmaxModel, NoisyApi, QuantizedApi};
+use openapi_api::{GroundTruthOracle, LinearSoftmaxModel, NoisyApi, PredictionApi, QuantizedApi};
 use openapi_core::{
-    InterpretError, NaiveConfig, NaiveInterpreter, OpenApiConfig, OpenApiInterpreter,
+    EdgeSearch, InterpretError, NaiveConfig, NaiveInterpreter, OpenApiConfig, OpenApiInterpreter,
 };
 use openapi_linalg::{Matrix, Vector};
 use rand::rngs::StdRng;
@@ -152,6 +152,77 @@ fn saturated_softmax_still_interpretable_with_clamped_log_ratios() {
         Ok(r) => assert!(r.interpretation.decision_features.is_finite()),
         Err(InterpretError::BudgetExhausted { .. }) => {} // acceptable: saturation detected
         Err(e) => panic!("unexpected error kind: {e}"),
+    }
+}
+
+/// A d=35, C=3 logistic model: wide enough for the pre-screen's full 8
+/// segments per rung.
+fn wide_model() -> LinearSoftmaxModel {
+    let w = Matrix::from_fn(35, 3, |r, c| ((r * 3 + c) % 7) as f64 * 0.1 - 0.3);
+    LinearSoftmaxModel::new(w, Vector(vec![0.1, -0.2, 0.05]))
+}
+
+/// Runs the pre-screened Algorithm 1 on `api` at `x0` and holds the
+/// outcome to the contract: an `Ok` explains the API's own probe of `x0`
+/// and passes `exact` (what "exact" means for this API), and every other
+/// outcome is a typed `BudgetExhausted` whose query count is what the
+/// API saw. Returns whether it was `Ok`.
+fn prescreened_is_exact_or_refused<M: PredictionApi>(
+    api: &M,
+    x0: &Vector,
+    seed: u64,
+    exact: impl Fn(&Vector) -> bool,
+) -> bool {
+    let api = openapi_api::CountingApi::new(api);
+    let cfg = OpenApiConfig {
+        max_iterations: 20,
+        edge_search: EdgeSearch::PreScreen,
+        ..Default::default()
+    };
+    let mut rng = StdRng::seed_from_u64(seed);
+    match OpenApiInterpreter::new(cfg).interpret(&api, x0, 0, &mut rng) {
+        Ok(r) => {
+            assert_eq!(r.queries as u64, api.queries());
+            let probs = api.predict(x0.as_slice());
+            assert!(r.interpretation.explains_probe(x0, probs.as_slice(), 1e-6));
+            assert!(exact(&r.interpretation.decision_features), "seed {seed}");
+            true
+        }
+        Err(InterpretError::BudgetExhausted { queries, .. }) => {
+            assert_eq!(queries as u64, api.queries());
+            false
+        }
+        Err(e) => panic!("unexpected error kind: {e}"),
+    }
+}
+
+#[test]
+fn prescreen_ends_degraded_apis_in_an_exact_answer_or_a_typed_refusal() {
+    for (model, x0) in [
+        (model(), x0()),
+        (
+            wide_model(),
+            Vector((0..35).map(|i| (i as f64 * 0.7).sin() * 0.3).collect()),
+        ),
+    ] {
+        let truth = model.local_model(x0.as_slice()).decision_features(0);
+        for seed in 0..4 {
+            // Coarse quantization: the only exact answer is the plateau's
+            // zero slope.
+            let coarse = QuantizedApi::new(model.clone(), 3);
+            prescreened_is_exact_or_refused(&coarse, &x0, seed, |f| f.norm_linf() < 1e-6);
+            // Fine quantization: the hidden model's features, to the
+            // quantization scale.
+            let fine = QuantizedApi::new(model.clone(), 12);
+            assert!(prescreened_is_exact_or_refused(&fine, &x0, seed, |f| {
+                f.l1_distance(&truth).unwrap() < 1e-3
+            }));
+            // Noise breaks every midpoint and every held-out row: refusal.
+            let noisy = NoisyApi::new(model.clone(), 1e-3, seed);
+            assert!(!prescreened_is_exact_or_refused(&noisy, &x0, seed, |_| {
+                false
+            }));
+        }
     }
 }
 

@@ -14,19 +14,22 @@
 //!    quantization plateau and reports *its* exact local behaviour (zero
 //!    slopes) — honest about the API it queried, visibly far from the
 //!    hidden model; the naive method instead mixes plateaus silently.
+//! 5. **Edge search** — the paper's halving rung vs the midpoint
+//!    pre-screen ([`EdgeSearch::PreScreen`]): the same acceptance check,
+//!    so success and L1 match while queries and time drop.
 
 use crate::config::ExperimentConfig;
 use crate::experiments::{out_path, predicted_classes};
 use crate::panel::{eval_indices, Panel};
 use crate::parallel::parallel_map;
 use openapi_api::QuantizedApi;
-use openapi_core::{NaiveConfig, NaiveInterpreter, OpenApiConfig, OpenApiInterpreter};
+use openapi_core::{EdgeSearch, NaiveConfig, NaiveInterpreter, OpenApiConfig, OpenApiInterpreter};
 use openapi_linalg::solve::ConsistencyStrategy;
 use openapi_metrics::exactness::{ground_truth_features, l1_dist};
 use openapi_metrics::report::{write_csv, Table};
 use std::time::Instant;
 
-/// Runs all four ablations on the first PLNN panel (the family with
+/// Runs all five ablations on the first PLNN panel (the family with
 /// nontrivial region geometry).
 ///
 /// # Errors
@@ -51,6 +54,7 @@ pub fn run(cfg: &ExperimentConfig, panels: &[Panel]) -> std::io::Result<()> {
     rtol_ablation(cfg, panel, &items)?;
     shrink_ablation(cfg, panel, &items)?;
     degraded_api_ablation(cfg, panel, &items)?;
+    edge_search_ablation(cfg, panel, &items)?;
     Ok(())
 }
 
@@ -112,35 +116,45 @@ fn stats_row(label: String, s: &RunStats) -> Vec<String> {
 
 const STAT_HEADERS: [&str; 6] = ["config", "success", "iters", "queries", "mean L1", "ms"];
 
+/// Runs one row per labelled configuration, prints the table and writes it
+/// to `file`.
+fn config_ablation(
+    cfg: &ExperimentConfig,
+    panel: &Panel,
+    items: &[(usize, usize)],
+    title: &str,
+    file: &str,
+    configs: impl IntoIterator<Item = (String, OpenApiConfig)>,
+) -> std::io::Result<()> {
+    let mut table = Table::new(format!("{title} ({})", panel.name), &STAT_HEADERS);
+    let mut rows = Vec::new();
+    for (label, oa) in configs {
+        let row = stats_row(label, &run_openapi(cfg, panel, items, &oa));
+        table.push_row(row.clone());
+        rows.push(row);
+    }
+    println!("{}", table.render());
+    write_csv(&out_path(cfg, file), &STAT_HEADERS, &rows)
+}
+
 fn strategy_ablation(
     cfg: &ExperimentConfig,
     panel: &Panel,
     items: &[(usize, usize)],
 ) -> std::io::Result<()> {
-    let mut table = Table::new(
-        format!("Ablation A1a — consistency strategy ({})", panel.name),
-        &STAT_HEADERS,
-    );
-    let mut rows = Vec::new();
-    for (label, strategy) in [
+    let configs = [
         ("square-then-check", ConsistencyStrategy::SquareThenCheck),
         ("least-squares", ConsistencyStrategy::LeastSquares),
-    ] {
+    ]
+    .map(|(label, strategy)| {
         let oa = OpenApiConfig {
             strategy,
             ..Default::default()
         };
-        let stats = run_openapi(cfg, panel, items, &oa);
-        let row = stats_row(label.to_string(), &stats);
-        table.push_row(row.clone());
-        rows.push(row);
-    }
-    println!("{}", table.render());
-    write_csv(
-        &out_path(cfg, "ablation_strategy.csv"),
-        &STAT_HEADERS,
-        &rows,
-    )
+        (label.to_string(), oa)
+    });
+    let title = "Ablation A1a — consistency strategy";
+    config_ablation(cfg, panel, items, title, "ablation_strategy.csv", configs)
 }
 
 fn rtol_ablation(
@@ -148,23 +162,15 @@ fn rtol_ablation(
     panel: &Panel,
     items: &[(usize, usize)],
 ) -> std::io::Result<()> {
-    let mut table = Table::new(
-        format!("Ablation A1b — residual tolerance ({})", panel.name),
-        &STAT_HEADERS,
-    );
-    let mut rows = Vec::new();
-    for rtol in [1e-3, 1e-6, 1e-9, 1e-12] {
+    let configs = [1e-3, 1e-6, 1e-9, 1e-12].map(|rtol| {
         let oa = OpenApiConfig {
             rtol,
             ..Default::default()
         };
-        let stats = run_openapi(cfg, panel, items, &oa);
-        let row = stats_row(format!("rtol={rtol:.0e}"), &stats);
-        table.push_row(row.clone());
-        rows.push(row);
-    }
-    println!("{}", table.render());
-    write_csv(&out_path(cfg, "ablation_rtol.csv"), &STAT_HEADERS, &rows)
+        (format!("rtol={rtol:.0e}"), oa)
+    });
+    let title = "Ablation A1b — residual tolerance";
+    config_ablation(cfg, panel, items, title, "ablation_rtol.csv", configs)
 }
 
 fn shrink_ablation(
@@ -172,23 +178,42 @@ fn shrink_ablation(
     panel: &Panel,
     items: &[(usize, usize)],
 ) -> std::io::Result<()> {
-    let mut table = Table::new(
-        format!("Ablation A1c — hypercube shrink factor ({})", panel.name),
-        &STAT_HEADERS,
-    );
-    let mut rows = Vec::new();
-    for shrink in [0.25, 0.5, 0.75] {
+    let configs = [0.25, 0.5, 0.75].map(|shrink_factor| {
         let oa = OpenApiConfig {
-            shrink_factor: shrink,
+            shrink_factor,
             ..Default::default()
         };
-        let stats = run_openapi(cfg, panel, items, &oa);
-        let row = stats_row(format!("shrink={shrink}"), &stats);
-        table.push_row(row.clone());
-        rows.push(row);
-    }
-    println!("{}", table.render());
-    write_csv(&out_path(cfg, "ablation_shrink.csv"), &STAT_HEADERS, &rows)
+        (format!("shrink={shrink_factor}"), oa)
+    });
+    let title = "Ablation A1c — hypercube shrink factor";
+    config_ablation(cfg, panel, items, title, "ablation_shrink.csv", configs)
+}
+
+fn edge_search_ablation(
+    cfg: &ExperimentConfig,
+    panel: &Panel,
+    items: &[(usize, usize)],
+) -> std::io::Result<()> {
+    let configs = [
+        ("halving", EdgeSearch::Halving),
+        ("pre-screen", EdgeSearch::PreScreen),
+    ]
+    .map(|(label, edge_search)| {
+        let oa = OpenApiConfig {
+            edge_search,
+            ..Default::default()
+        };
+        (label.to_string(), oa)
+    });
+    let title = "Ablation A1e — edge search";
+    config_ablation(
+        cfg,
+        panel,
+        items,
+        title,
+        "ablation_edge_search.csv",
+        configs,
+    )
 }
 
 fn degraded_api_ablation(
@@ -289,6 +314,7 @@ mod tests {
             "ablation_rtol.csv",
             "ablation_shrink.csv",
             "ablation_degraded.csv",
+            "ablation_edge_search.csv",
         ] {
             assert!(cfg.out_dir.join(f).exists(), "{f} missing");
         }

@@ -10,7 +10,7 @@ use openapi_core::batch::queries_consumed;
 use openapi_core::cache::ProbeRef;
 use openapi_core::decision::{Interpretation, RegionFingerprint};
 use openapi_core::equations::Probe;
-use openapi_core::openapi::{OpenApiConfig, OpenApiInterpreter};
+use openapi_core::openapi::{EdgeSearch, OpenApiConfig, OpenApiInterpreter};
 use openapi_core::InterpretError;
 use openapi_linalg::Vector;
 use openapi_store::{RegionStore, StoreConfig, StoreError};
@@ -32,7 +32,10 @@ pub struct ServiceConfig {
     pub workers: usize,
     /// Shared-cache sharding and capacity.
     pub cache: SharedCacheConfig,
-    /// Configuration of the per-region Algorithm-1 solves.
+    /// Configuration of the per-region Algorithm-1 solves. The default
+    /// pre-screens each rung ([`EdgeSearch::PreScreen`]): the same exact
+    /// answers as the paper's halving, for about a quarter of its queries
+    /// at d = 196.
     pub openapi: OpenApiConfig,
     /// Master seed; each request's sampling RNG derives from
     /// `(seed, request id)`, so a fixed submission order replays exactly.
@@ -54,7 +57,10 @@ impl Default for ServiceConfig {
         ServiceConfig {
             workers: 4,
             cache: SharedCacheConfig::default(),
-            openapi: OpenApiConfig::default(),
+            openapi: OpenApiConfig {
+                edge_search: EdgeSearch::PreScreen,
+                ..OpenApiConfig::default()
+            },
             seed: 42,
             max_leaders_per_class: 4,
         }
@@ -1211,10 +1217,7 @@ fn lead_solve<M: PredictionApi>(
             Ok((cached.interpretation, cached.fingerprint))
         }
         Err(e) => {
-            ServiceStats::add(
-                &inner.stats.queries,
-                queries_consumed(&e, inner.api.dim()) as u64,
-            );
+            ServiceStats::add(&inner.stats.queries, queries_consumed(&e) as u64);
             Err(e)
         }
     }
@@ -1457,6 +1460,41 @@ mod tests {
         assert_eq!(svc.api().queries(), 0);
         let stats = svc.stats();
         assert_eq!(stats.failures, 2);
+    }
+
+    #[test]
+    fn budget_exhaustion_charges_what_the_api_saw_on_both_policies() {
+        // On the split itself any cube straddles it, so a short budget
+        // runs out; the failed solve's cost must reach the ledger exactly.
+        let mut on_split = TwoRegionPlm::reference_instance(0);
+        on_split[1] = 0.25;
+        for edge_search in [EdgeSearch::Halving, EdgeSearch::PreScreen] {
+            let svc = InterpretationService::new(
+                CountingApi::new(TwoRegionPlm::reference()),
+                ServiceConfig {
+                    workers: 1,
+                    openapi: OpenApiConfig {
+                        max_iterations: 3,
+                        edge_search,
+                        ..OpenApiConfig::default()
+                    },
+                    ..ServiceConfig::default()
+                },
+            );
+            let failed = svc.submit_instance(on_split.clone(), 0).wait();
+            assert!(
+                matches!(
+                    failed,
+                    Err(ServeError::Interpret(
+                        InterpretError::BudgetExhausted { .. }
+                    ))
+                ),
+                "{edge_search:?}: {failed:?}"
+            );
+            let stats = svc.stats();
+            assert_eq!(stats.failures, 1);
+            assert_eq!(stats.queries, svc.api().queries(), "{edge_search:?}");
+        }
     }
 
     #[test]

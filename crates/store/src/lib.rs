@@ -7,8 +7,9 @@
 //! permanent*: once Algorithm 1 has solved a region, the recovered core
 //! parameters never change and never need re-querying. That makes the set
 //! of solved regions the most valuable asset the system owns — every
-//! record is `1 + T·(d+1)` prediction queries that never have to be paid
-//! again. This crate keeps that asset on disk, so a restarted service
+//! record is one Algorithm-1 solve's prediction queries (`1 + T·(d+1)`
+//! under the paper's halving, fewer under the pre-screen) that never have
+//! to be paid again. This crate keeps that asset on disk, so a restarted service
 //! warm-starts from its own history instead of re-billing the API.
 //!
 //! # On-disk layout

@@ -35,7 +35,7 @@ pub mod prelude {
     pub use openapi_core::batch::{BatchConfig, BatchInterpreter, BatchOutcome, BatchStats};
     pub use openapi_core::cache::{RegionCache, RegionCacheConfig};
     pub use openapi_core::decision::{Interpretation, PairwiseCoreParams, RegionFingerprint};
-    pub use openapi_core::openapi::{OpenApiConfig, OpenApiInterpreter, OpenApiResult};
+    pub use openapi_core::openapi::{EdgeSearch, OpenApiConfig, OpenApiInterpreter, OpenApiResult};
     pub use openapi_core::Method;
     pub use openapi_fabric::{FabricConfig, FabricNode};
     pub use openapi_linalg::{Matrix, Vector};

@@ -68,6 +68,20 @@ fn chaos_without_drift_serves_bit_identical_to_a_calm_run() {
             .collect()
     };
 
+    // The chaos schedule is one seeded stream that the cold solves draw
+    // from too, so the warm phase's faults depend on how many queries the
+    // cold phase spent. The paper's halving keeps the schedule this test
+    // was written against: under the serving default's pre-screen the
+    // cold phase spends fewer queries and this seed's warm phase draws no
+    // rate limit.
+    let config = || ServiceConfig {
+        openapi: OpenApiConfig {
+            edge_search: EdgeSearch::Halving,
+            ..OpenApiConfig::default()
+        },
+        ..config()
+    };
+
     // Calm run: the ground truth for bit-identity.
     let calm = InterpretationService::new(ChaosApi::new(two_region_plm(), 0xC40), config());
     let calm_cold = serve_all(&calm);
