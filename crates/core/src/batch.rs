@@ -180,7 +180,6 @@ impl BatchInterpreter {
         let interpreter = OpenApiInterpreter::new(config.openapi.clone());
         let cache = RegionCache::new(RegionCacheConfig {
             membership_rtol: config.membership_rtol,
-            fingerprint_digits: config.fingerprint_digits,
             ..RegionCacheConfig::default()
         });
         BatchInterpreter {
@@ -437,7 +436,10 @@ impl BatchInterpreter {
         region: Option<RegionId>,
         queries: usize,
     ) -> BatchItem {
-        let cached = self.cache.insert(Arc::new(interpretation), region);
+        let fingerprint = interpretation.fingerprint(self.config.fingerprint_digits);
+        let (cached, _) = self
+            .cache
+            .insert(fingerprint, Arc::new(interpretation), region);
         BatchItem {
             interpretation: cached.interpretation,
             fingerprint: cached.fingerprint,

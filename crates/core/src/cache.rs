@@ -3,10 +3,12 @@
 //! Every instance of a locally linear region recovers the **identical**
 //! core parameters (Theorem 2), so interpretation results are cacheable per
 //! *region*, not per instance. [`RegionCache`] owns the membership-probe
-//! lookup, the canonical-fingerprint merge, and the collision fallback that
-//! [`crate::batch::BatchInterpreter`] introduced — extracted here so the
-//! single-threaded batch layer and the sharded concurrent cache in
-//! `openapi-serve` share exactly one membership code path.
+//! lookup, the canonical-fingerprint merge, and the collision fallback — the
+//! one membership code path of the workspace. The single-threaded batch
+//! layer ([`crate::batch::BatchInterpreter`]), the sharded concurrent cache
+//! in `openapi-serve`, and the durable store in `openapi-store` (whose
+//! in-memory image is an unbounded `RegionCache`) all look up and merge
+//! regions here.
 //!
 //! Two lookup modes, both sound by Theorem 2:
 //!
@@ -22,15 +24,17 @@
 //!
 //! The black-box scan is the warm serving path's dominant cost, so it does
 //! not walk per-entry heap allocations: alongside the entries, the cache
-//! packs every boundary row of a class into one contiguous row-major
-//! [`RowMatrix`] per `(class, dimension)` pair (a `ClassBlock`), rebuilt
-//! incrementally on insert and eviction. A probe then runs as one batched
-//! kernel pass per chunk of rows — `y = W·x + b` for every cached contrast,
-//! Theorem-2 verdicts per region group — through the configured
-//! [`Backend`]. The observed log-probability ratios are memoized per probe
-//! (one `ln` per class instead of one per cached region), and
-//! [`RegionCache::lookup_probe_batch`] additionally iterates chunk-outer /
-//! probe-inner, running each chunk through the backend's *multi-probe*
+//! packs every boundary row of a `(class, dimension)` pair into contiguous
+//! row-major [`RowMatrix`] pages of whole region groups (`PAGE_ROWS` rows
+//! or a little more each), rebuilt incrementally on insert and eviction.
+//! The rows evaluate through the configured [`Backend`] — `y = W·x + b` per
+//! cached contrast, Theorem-2 verdicts per region group. A single probe
+//! screens each region on its first contrast row and evaluates the rest
+//! only when that row passes (the scalar test's early exit), so a miss
+//! costs one row per cached region. The observed log-probability ratios
+//! are memoized per probe (one `ln` per class instead of one per cached
+//! region), and [`RegionCache::lookup_probe_batch`] iterates page-outer /
+//! probe-inner, running each whole page through the backend's *multi-probe*
 //! kernel ([`Backend::boundary_eval_batch`]) so a whole batch shares one
 //! sweep of the packed rows while they are hot in cache. Backends are
 //! bit-identical by contract, so the verdicts do not depend on which one
@@ -39,9 +43,10 @@
 //! An optional capacity bound turns the cache into a CLOCK (second-chance)
 //! eviction structure: lookups mark entries referenced through an atomic
 //! flag (no `&mut` required, so shared readers stay cheap), and inserts
-//! past capacity sweep the clock hand for an unreferenced victim. The
-//! unbounded configuration — the batch layer's — never evicts and preserves
-//! strict insertion order, keeping pre-extraction behavior bit-identical.
+//! past capacity sweep the clock hand for an unreferenced victim. Removal
+//! keeps the survivors in insertion order, so the unbounded configuration
+//! — the batch layer's and the store's — scans (and iterates) its regions
+//! in exactly the order they were admitted.
 
 use crate::decision::{Interpretation, RegionFingerprint};
 use openapi_api::RegionId;
@@ -50,12 +55,18 @@ use openapi_linalg::Vector;
 use openapi_sync::atomic::{AtomicBool, Ordering};
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
-/// Rows evaluated per kernel pass of the membership scan. Sized so a
-/// chunk of `d = 196` boundaries (~200 KB) stays resident in L2 while a
-/// probe batch re-walks it, while still amortizing the per-pass setup.
-const CHUNK_ROWS: usize = 128;
+/// Rows per page of packed boundaries: a page takes whole region groups
+/// until it holds at least this many rows, and one batched kernel pass
+/// evaluates one page. Sized so a page of `d = 196` boundaries (~200 KB)
+/// stays resident in L2 while a probe batch re-walks it, while still
+/// amortizing the per-pass setup. Pages also bound every packed
+/// allocation, however many regions a class holds: a multi-MB block freed
+/// with its cache raises glibc's mmap threshold, after which mid-size
+/// allocations fragment the heap instead of returning to the system.
+const PAGE_ROWS: usize = 128;
 
 /// Configuration of a [`RegionCache`].
 #[derive(Debug, Clone)]
@@ -63,11 +74,8 @@ pub struct RegionCacheConfig {
     /// Relative tolerance of the membership test (see
     /// [`crate::batch::BatchConfig::membership_rtol`]).
     pub membership_rtol: f64,
-    /// Decimal places used to canonicalize recovered core parameters into a
-    /// [`RegionFingerprint`].
-    pub fingerprint_digits: u32,
-    /// Maximum cached regions; `None` (the batch layer's setting) never
-    /// evicts. A bound of 0 is clamped to 1.
+    /// Maximum cached regions; `None` (the batch layer's and the store's
+    /// setting) never evicts. A bound of 0 is clamped to 1.
     pub capacity: Option<usize>,
     /// Kernel backend the blocked membership scan runs on (see
     /// [`openapi_linalg::kernel`]). Backends are bit-identical by
@@ -79,7 +87,6 @@ impl Default for RegionCacheConfig {
     fn default() -> Self {
         RegionCacheConfig {
             membership_rtol: crate::openapi::OpenApiConfig::default().rtol,
-            fingerprint_digits: 6,
             capacity: None,
             backend: default_backend(),
         }
@@ -92,7 +99,7 @@ impl Default for RegionCacheConfig {
 /// reference-count bump), never the multi-KB parameter payload — at
 /// `d = 196` a deep clone used to cost several KB of allocation per hit,
 /// which is exactly the traffic a hot cache serves most.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CachedRegion {
     /// Canonical key of the region.
     pub fingerprint: RegionFingerprint,
@@ -112,11 +119,12 @@ pub struct ProbeRef<'a> {
     pub class: usize,
 }
 
-/// Where a slot's boundary rows live inside the packed blocks.
+/// Where a slot's boundary rows live inside the packed pages.
 #[derive(Debug, Clone, Copy)]
 struct BlockRef {
     class: usize,
     dim: usize,
+    page: usize,
     group: usize,
 }
 
@@ -135,36 +143,45 @@ struct Slot {
     block: Option<BlockRef>,
 }
 
-/// One region's contiguous run of rows inside a [`ClassBlock`].
-#[derive(Debug, Clone, Copy)]
-struct Group {
-    /// First row of the group in the block's pack.
-    start: usize,
-    /// Rows (pairwise contrasts) in the group.
-    len: usize,
-    /// The `entries` index served when the group's verdict passes.
-    slot: usize,
+impl Slot {
+    /// The slot's region, shared (an `Arc` clone, no payload copy).
+    fn region(&self) -> CachedRegion {
+        CachedRegion {
+            fingerprint: self.fingerprint,
+            interpretation: Arc::clone(&self.interpretation),
+        }
+    }
+
+    fn block_mut(&mut self) -> &mut BlockRef {
+        self.block
+            .as_mut()
+            .expect("packed slot keeps its block ref")
+    }
 }
 
-/// The packed boundary rows of every cached region of one `(class, dim)`
-/// pair: `w` holds the contrast weight rows back to back, `bias` and
-/// `c_prime` are parallel per-row arrays, and `groups` partitions the rows
-/// by region in scan order.
+/// One page of the packed boundary rows of a `(class, dim)` pair: `w`
+/// holds the contrast weight rows back to back, `bias` and `c_prime` are
+/// parallel per-row arrays, and `groups` partitions the rows by region in
+/// scan order, group `i` serving the `entries` index `slots[i]`.
 #[derive(Debug)]
-struct ClassBlock {
+struct Page {
     w: RowMatrix,
     bias: Vec<f64>,
     c_prime: Vec<usize>,
-    groups: Vec<Group>,
+    groups: Vec<RowGroup>,
+    slots: Vec<usize>,
 }
 
-impl ClassBlock {
-    fn new(dim: usize) -> Self {
-        ClassBlock {
-            w: RowMatrix::new(dim),
-            bias: Vec::new(),
-            c_prime: Vec::new(),
+impl Page {
+    /// An empty page with room for `rows` rows: it is allocated once, at
+    /// the size it will keep.
+    fn new(dim: usize, rows: usize) -> Self {
+        Page {
+            w: RowMatrix::with_capacity(dim, rows),
+            bias: Vec::with_capacity(rows),
+            c_prime: Vec::with_capacity(rows),
             groups: Vec::new(),
+            slots: Vec::new(),
         }
     }
 }
@@ -176,7 +193,6 @@ struct Scratch {
     ln_probs: Vec<f64>,
     y: Vec<f64>,
     targets: Vec<f64>,
-    groups: Vec<RowGroup>,
     verdicts: Vec<bool>,
 }
 
@@ -193,16 +209,33 @@ fn fill_ln(out: &mut Vec<f64>, probs: &[f64]) {
     out.extend(probs.iter().map(|&p| p.max(f64::MIN_POSITIVE).ln()));
 }
 
+/// Fills `out` with a probe's per-row targets against the contrasts
+/// `c_prime`, recombined from its ln memo exactly as
+/// `log_ratio(probs, class, c')`. An out-of-range class or contrast can
+/// never be explained: its NaN fails every comparison, exactly like the
+/// scalar path's early `false`.
+fn fill_targets(out: &mut Vec<f64>, c_prime: &[usize], class: usize, ln_probs: &[f64]) {
+    let class_ln = ln_probs.get(class).copied();
+    out.clear();
+    out.extend(
+        c_prime
+            .iter()
+            .map(|&cp| match (class_ln, ln_probs.get(cp)) {
+                (Some(lc), Some(&lcp)) => lc - lcp,
+                _ => f64::NAN,
+            }),
+    );
+}
+
 /// The region cache (see the module docs).
 #[derive(Debug, Default)]
 pub struct RegionCache {
     config: RegionCacheConfig,
-    /// Cached regions in insertion order (until eviction reorders via
-    /// `swap_remove`).
+    /// Cached regions in insertion order.
     entries: Vec<Slot>,
-    /// Packed boundary rows per `(class, dim)`; the membership scan walks
+    /// Packed boundary pages per `(class, dim)`; the membership scan walks
     /// these, in group (registration) order.
-    blocks: HashMap<(usize, usize), ClassBlock>,
+    blocks: HashMap<(usize, usize), Vec<Page>>,
     /// `(class, fingerprint) → entries index` — merges duplicate solves.
     by_fingerprint: HashMap<(usize, RegionFingerprint), usize>,
     /// `(class, oracle region id) → entries index` — oracle fast path only.
@@ -258,21 +291,18 @@ impl RegionCache {
         self.hand = 0;
     }
 
-    /// Iterates the cached regions (for snapshots); order is the current
-    /// scan order. Entries are `Arc` clones — no parameter payload is
+    /// Iterates the cached regions in insertion order (the scan order of
+    /// every class). Entries are `Arc` clones — no parameter payload is
     /// copied.
     pub fn iter(&self) -> impl Iterator<Item = CachedRegion> + '_ {
-        self.entries.iter().map(|e| CachedRegion {
-            fingerprint: e.fingerprint,
-            interpretation: Arc::clone(&e.interpretation),
-        })
+        self.entries.iter().map(Slot::region)
     }
 
     /// Black-box membership lookup: the first cached region of `class`
     /// whose core parameters explain the prediction `probs` observed at
     /// `x` (Theorem 2 — see [`Interpretation::explains_probe`]), found by
-    /// one blocked kernel pass per `CHUNK_ROWS` packed boundaries
-    /// instead of a per-entry scan.
+    /// kernel evaluations of the packed boundaries instead of a per-entry
+    /// scan, with verdicts bit-identical to `explains_probe`'s.
     pub fn lookup_probe(&self, x: &Vector, probs: &[f64], class: usize) -> Option<CachedRegion> {
         self.lookup_probe_from(x, probs, class, 0)
     }
@@ -299,25 +329,18 @@ impl RegionCache {
             return self
                 .entries
                 .iter()
-                .filter(|e| e.interpretation.class == class)
-                .find(|e| e.interpretation.explains_probe(x, probs, rtol))
-                .map(|e| {
-                    // ordering: Relaxed — a CLOCK reference bit, read and
-                    // cleared only by `evict_one`, which runs under the
-                    // owner's exclusive borrow; no data is published.
-                    e.referenced.store(true, Ordering::Relaxed);
-                    CachedRegion {
-                        fingerprint: e.fingerprint,
-                        interpretation: Arc::clone(&e.interpretation),
-                    }
-                });
+                .position(|e| {
+                    e.interpretation.class == class
+                        && e.interpretation.explains_probe(x, probs, rtol)
+                })
+                .map(|slot| self.serve(slot));
         }
-        let block = self.blocks.get(&(class, x.len()))?;
+        let pages = self.blocks.get(&(class, x.len()))?;
         SCRATCH
             .with(|scratch| {
                 let s = &mut *scratch.borrow_mut();
                 fill_ln(&mut s.ln_probs, probs);
-                self.scan_block(block, x.as_slice(), class, from_group, s)
+                self.scan_pages(pages, x.as_slice(), class, from_group, s)
             })
             .map(|slot| self.serve(slot))
     }
@@ -325,14 +348,16 @@ impl RegionCache {
     /// The number of region groups currently packed for `(class, dim)` —
     /// a watermark for [`RegionCache::lookup_probe_from`] delta scans.
     pub fn group_watermark(&self, class: usize, dim: usize) -> usize {
-        self.blocks.get(&(class, dim)).map_or(0, |b| b.groups.len())
+        self.blocks
+            .get(&(class, dim))
+            .map_or(0, |pages| pages.iter().map(|p| p.groups.len()).sum())
     }
 
     /// Batched black-box lookup: resolves every probe whose `results` slot
     /// is `None`, writing hits in place (slots already `Some` are skipped,
     /// so callers can pre-resolve). Verdict-equivalent to calling
-    /// [`RegionCache::lookup_probe`] per probe, but iterates chunk-outer /
-    /// probe-inner so a whole batch walks each packed chunk while it is
+    /// [`RegionCache::lookup_probe`] per probe, but iterates page-outer /
+    /// probe-inner so a whole batch walks each packed page while it is
     /// hot in cache — the warm path of a wire batch costs one blocked pass
     /// over the class's boundaries, not N sequential scans.
     ///
@@ -356,7 +381,7 @@ impl RegionCache {
             }
         }
         for ((class, dim), idxs) in by_key {
-            let Some(block) = self.blocks.get(&(class, dim)) else {
+            let Some(pages) = self.blocks.get(&(class, dim)) else {
                 continue;
             };
             // Per-probe ln memo, computed once for the whole scan.
@@ -369,19 +394,13 @@ impl RegionCache {
                 })
                 .collect();
             let mut unresolved: Vec<usize> = (0..idxs.len()).collect();
-            let mut g = 0;
-            while g < block.groups.len() && !unresolved.is_empty() {
-                let (g_end, row0, row_end) = chunk_bounds(block, g);
+            for page in pages {
+                if unresolved.is_empty() {
+                    break;
+                }
                 SCRATCH.with(|scratch| {
                     let s = &mut *scratch.borrow_mut();
-                    s.groups.clear();
-                    for grp in &block.groups[g..g_end] {
-                        s.groups.push(RowGroup {
-                            start: grp.start - row0,
-                            len: grp.len,
-                        });
-                    }
-                    // One multi-probe kernel pass evaluates the chunk for
+                    // One multi-probe kernel pass evaluates the page for
                     // every still-unresolved probe (probe-major output),
                     // then the per-probe verdict halves run off the shared
                     // evaluation. Bit-identical to per-probe scans by the
@@ -390,10 +409,10 @@ impl RegionCache {
                         .iter()
                         .map(|&u| probes[idxs[u]].x.as_slice())
                         .collect();
-                    let backend = &*self.config.backend;
+                    let n = page.w.rows();
                     let mut y = std::mem::take(&mut s.y);
-                    backend.boundary_eval_batch(&block.w, &block.bias, &xs, row0..row_end, &mut y);
-                    let n = row_end - row0;
+                    let backend = &*self.config.backend;
+                    backend.boundary_eval_batch(&page.w, &page.bias, &xs, 0..n, &mut y);
                     // One multi-probe kernel pass; payload = total row
                     // evaluations (rows × still-unresolved probes).
                     openapi_trace::emit(openapi_trace::Stage::KernelPass, (n * xs.len()) as u64);
@@ -401,8 +420,7 @@ impl RegionCache {
                     unresolved.retain(|&u| {
                         let yp = &y[p * n..(p + 1) * n];
                         p += 1;
-                        match self.verdict_scan(block, yp, class, &memos[u], (g, row0, row_end), s)
-                        {
+                        match self.verdict_scan(page, yp, class, &memos[u], s) {
                             Some(slot) => {
                                 results[idxs[u]] = Some(self.serve(slot));
                                 false
@@ -412,119 +430,117 @@ impl RegionCache {
                     });
                     s.y = y;
                 });
-                g = g_end;
             }
         }
     }
 
-    /// Scans one block from group `from_group` on, chunk by chunk,
-    /// returning the first slot whose group verdict passes.
-    fn scan_block(
+    /// Scans `pages` from group `from_group` (counted across pages) on,
+    /// returning the first slot whose group verdict passes. Like the
+    /// scalar test, which stops at a region's first failing contrast, a
+    /// group is screened on its first row and evaluated in full only when
+    /// that row passes, so a miss costs one row per region rather than
+    /// `C − 1`. A group passes only when every row does, so the screen
+    /// never changes a verdict.
+    fn scan_pages(
         &self,
-        block: &ClassBlock,
+        pages: &[Page],
         x: &[f64],
         class: usize,
         from_group: usize,
         s: &mut Scratch,
     ) -> Option<usize> {
-        let mut g = from_group;
-        while g < block.groups.len() {
-            let (g_end, row0, row_end) = chunk_bounds(block, g);
-            s.groups.clear();
-            for grp in &block.groups[g..g_end] {
-                s.groups.push(RowGroup {
-                    start: grp.start - row0,
-                    len: grp.len,
-                });
+        let mut skip = from_group;
+        for page in pages {
+            if skip >= page.groups.len() {
+                skip -= page.groups.len();
+                continue;
             }
-            // The ln memo doubles as the target source; take it out to
-            // satisfy the borrow checker, then restore.
-            let ln_probs = std::mem::take(&mut s.ln_probs);
-            let hit = self.scan_chunk(block, x, class, &ln_probs, (g, row0, row_end), s);
-            s.ln_probs = ln_probs;
-            // One blocked kernel pass done; payload = boundary rows
-            // evaluated. Attributes to the calling request's span (if the
-            // serving tier set one on this thread).
-            openapi_trace::emit(openapi_trace::Stage::KernelPass, (row_end - row0) as u64);
+            let mut rows = 0;
+            let mut hit = None;
+            for (i, g) in page.groups.iter().enumerate().skip(skip) {
+                rows += 1;
+                if !self.rows_pass(page, g.start..g.start + 1, x, class, s) {
+                    continue;
+                }
+                rows += g.len;
+                if self.rows_pass(page, g.start..g.start + g.len, x, class, s) {
+                    hit = Some(page.slots[i]);
+                    break;
+                }
+            }
+            // One page scanned; payload = boundary rows evaluated.
+            // Attributes to the calling request's span (if the serving tier
+            // set one on this thread).
+            openapi_trace::emit(openapi_trace::Stage::KernelPass, rows as u64);
             if hit.is_some() {
                 return hit;
             }
-            g = g_end;
+            skip = 0;
         }
         None
     }
 
-    /// One kernel pass over the chunk `[row0, row_end)` whose groups start
-    /// at index `g` (with `s.groups` pre-filled relative to `row0`):
-    /// boundary evaluation, target reconstruction from the ln memo, and
-    /// per-group verdicts. Returns the slot of the first passing group.
-    fn scan_chunk(
+    /// Whether every row in `rows` of `page` explains the probe whose ln
+    /// memo is `s.ln_probs`: one kernel evaluation and one group verdict.
+    fn rows_pass(
         &self,
-        block: &ClassBlock,
+        page: &Page,
+        rows: Range<usize>,
         x: &[f64],
         class: usize,
-        ln_probs: &[f64],
-        (g, row0, row_end): (usize, usize, usize),
         s: &mut Scratch,
-    ) -> Option<usize> {
+    ) -> bool {
         let backend = &*self.config.backend;
-        backend.boundary_eval(&block.w, &block.bias, x, row0..row_end, &mut s.y);
-        let y = std::mem::take(&mut s.y);
-        let hit = self.verdict_scan(block, &y, class, ln_probs, (g, row0, row_end), s);
-        s.y = y;
-        hit
+        backend.boundary_eval(&page.w, &page.bias, x, rows.clone(), &mut s.y);
+        fill_targets(
+            &mut s.targets,
+            &page.c_prime[rows.clone()],
+            class,
+            &s.ln_probs,
+        );
+        let group = RowGroup {
+            start: 0,
+            len: rows.len(),
+        };
+        let rtol = self.config.membership_rtol;
+        backend.membership_verdicts(&s.y, &s.targets, rtol, &[group], &mut s.verdicts);
+        s.verdicts[0]
     }
 
-    /// The verdict half of a chunk scan: given one probe's already
-    /// evaluated boundary values `y` for `[row0, row_end)`, reconstructs
-    /// the probe's targets from its ln memo and returns the slot of the
-    /// first passing group. Split from [`RegionCache::scan_chunk`] so the
-    /// batched lookup can share a single multi-probe evaluation.
+    /// The verdict half of the batched lookup: given one probe's evaluated
+    /// boundary values `y` for every row of `page`, reconstructs the
+    /// probe's targets from its ln memo and returns the slot of the first
+    /// passing group.
     fn verdict_scan(
         &self,
-        block: &ClassBlock,
+        page: &Page,
         y: &[f64],
         class: usize,
         ln_probs: &[f64],
-        (g, row0, row_end): (usize, usize, usize),
         s: &mut Scratch,
     ) -> Option<usize> {
-        let backend = &*self.config.backend;
-        let class_ln = ln_probs.get(class).copied();
-        s.targets.clear();
-        s.targets
-            .extend(block.c_prime[row0..row_end].iter().map(|&cp| {
-                match (class_ln, ln_probs.get(cp)) {
-                    // Identical recombination to `log_ratio(probs, class, cp)`.
-                    (Some(lc), Some(&lcp)) => lc - lcp,
-                    // Out-of-range class/contrast can never be explained:
-                    // NaN fails every comparison, exactly like the scalar
-                    // path's early `false`.
-                    _ => f64::NAN,
-                }
-            }));
-        backend.membership_verdicts(
+        fill_targets(&mut s.targets, &page.c_prime, class, ln_probs);
+        self.config.backend.membership_verdicts(
             y,
             &s.targets,
             self.config.membership_rtol,
-            &s.groups,
+            &page.groups,
             &mut s.verdicts,
         );
         s.verdicts
             .iter()
             .position(|&v| v)
-            .map(|hit| block.groups[g + hit].slot)
+            .map(|hit| page.slots[hit])
     }
 
     /// Marks a slot referenced and serves it.
     fn serve(&self, slot: usize) -> CachedRegion {
         let e = &self.entries[slot];
-        // ordering: Relaxed — CLOCK reference bit (see `lookup_probe`).
+        // ordering: Relaxed — a CLOCK reference bit, read and cleared only
+        // by `evict_one`, which runs under the owner's exclusive borrow; no
+        // data is published.
         e.referenced.store(true, Ordering::Relaxed);
-        CachedRegion {
-            fingerprint: e.fingerprint,
-            interpretation: Arc::clone(&e.interpretation),
-        }
+        e.region()
     }
 
     /// Oracle fast-path lookup keyed on [`RegionId`].
@@ -533,52 +549,58 @@ impl RegionCache {
         Some(self.serve(index))
     }
 
-    /// Admits a freshly solved region, merging with an existing entry when
-    /// the canonical fingerprint already exists AND the recovered parameters
-    /// actually agree (so equal-region solves stay bit-identical, while a
-    /// fingerprint collision between genuinely different regions —
-    /// quantization landing both in one grid cell, or a 64-bit hash
-    /// collision — falls back to a separate entry instead of silently
-    /// serving the wrong region's parameters). Returns the entry that ends
-    /// up cached, which is what every caller must serve.
+    /// Whether `(class, fingerprint)` keys a canonical entry (a collided,
+    /// un-indexed entry does not count).
+    pub fn contains(&self, class: usize, fingerprint: RegionFingerprint) -> bool {
+        self.by_fingerprint.contains_key(&(class, fingerprint))
+    }
+
+    /// Admits a solved region under the `fingerprint` its caller computed
+    /// (or, for a stored or replicated record, carries). The region merges
+    /// into an existing entry when its parameters agree with the key's
+    /// canonical entry — or, on a fingerprint collision, with any entry of
+    /// the class — so a re-solve of a collided region never adds a
+    /// duplicate. A collision between genuinely different regions
+    /// (quantization landing both in one grid cell, or a 64-bit hash
+    /// collision) gets its own un-indexed entry instead of silently serving
+    /// the wrong region's parameters.
     ///
-    /// Takes the interpretation as an [`Arc`] so an entry recovered from a
-    /// durable store (or another cache tier) is admitted without copying
-    /// its parameters; freshly solved regions wrap once at the call site.
+    /// Returns the entry that ends up cached, which is what every caller
+    /// must serve, and whether it is a new entry. Takes the interpretation
+    /// as an [`Arc`] so a region recovered from a durable store (or another
+    /// cache tier) is admitted without copying its parameters.
     pub fn insert(
         &mut self,
+        fingerprint: RegionFingerprint,
         interpretation: Arc<Interpretation>,
         region: Option<RegionId>,
-    ) -> CachedRegion {
+    ) -> (CachedRegion, bool) {
         let class = interpretation.class;
-        let fingerprint = interpretation.fingerprint(self.config.fingerprint_digits);
         let tol = self.config.membership_rtol;
-        let index = match self.by_fingerprint.get(&(class, fingerprint)) {
-            Some(&i)
-                if interpretations_agree(&self.entries[i].interpretation, &interpretation, tol) =>
+        let agrees = |e: &Slot| interpretations_agree(&e.interpretation, &interpretation, tol);
+        let (index, fresh) = match self.by_fingerprint.get(&(class, fingerprint)) {
+            Some(&i) if agrees(&self.entries[i]) => (i, false),
+            Some(_) => match self
+                .entries
+                .iter()
+                .position(|e| e.interpretation.class == class && agrees(e))
             {
-                i
-            }
-            Some(_) => {
+                Some(i) => (i, false),
                 // Collision: cache the new region un-indexed (the membership
                 // scan still serves it; only the fingerprint shortcut is
                 // unavailable for it).
-                self.push_slot(fingerprint, interpretation)
-            }
+                None => (self.push_slot(fingerprint, interpretation), true),
+            },
             None => {
                 let i = self.push_slot(fingerprint, interpretation);
                 self.by_fingerprint.insert((class, fingerprint), i);
-                i
+                (i, true)
             }
         };
         if let Some(region) = region {
             self.by_region_id.insert((class, region), index);
         }
-        let entry = &self.entries[index];
-        CachedRegion {
-            fingerprint: entry.fingerprint,
-            interpretation: Arc::clone(&entry.interpretation),
-        }
+        (self.entries[index].region(), fresh)
     }
 
     /// Pushes a new slot, evicting first when at capacity, and packs its
@@ -606,9 +628,11 @@ impl RegionCache {
         index
     }
 
-    /// Packs `entries[index]`'s boundary rows into its class block. Slots
-    /// whose contrasts are absent or dimensionally ragged explain no probe
-    /// (the scalar semantics' dot product fails) and stay unpacked.
+    /// Packs `entries[index]`'s boundary rows into the last page of its
+    /// `(class, dim)` pair, opening a new page once the last holds
+    /// `PAGE_ROWS` rows. Slots whose contrasts are absent or dimensionally
+    /// ragged explain no probe (the scalar semantics' dot product fails)
+    /// and stay unpacked.
     fn register_slot(&mut self, index: usize) {
         let interp = &self.entries[index].interpretation;
         let Some(first) = interp.pairwise.first() else {
@@ -619,49 +643,69 @@ impl RegionCache {
             return;
         }
         let class = interp.class;
-        let block = self
-            .blocks
-            .entry((class, dim))
-            .or_insert_with(|| ClassBlock::new(dim));
-        let start = block.w.rows();
-        for p in &interp.pairwise {
-            block.w.push_row(p.weights.as_slice());
-            block.bias.push(p.bias);
-            block.c_prime.push(p.c_prime);
+        let pages = self.blocks.entry((class, dim)).or_default();
+        if pages.last().is_none_or(|p| p.w.rows() >= PAGE_ROWS) {
+            // A page closes with fewer than `PAGE_ROWS` rows plus one more
+            // group — of this size, when a class's regions have equal
+            // contrast counts (a model's regions all have C − 1).
+            pages.push(Page::new(dim, PAGE_ROWS - 1 + interp.pairwise.len()));
         }
-        let group = block.groups.len();
-        block.groups.push(Group {
+        let page = pages.len() - 1;
+        let last = &mut pages[page];
+        let start = last.w.rows();
+        for p in &interp.pairwise {
+            last.w.push_row(p.weights.as_slice());
+            last.bias.push(p.bias);
+            last.c_prime.push(p.c_prime);
+        }
+        last.groups.push(RowGroup {
             start,
             len: interp.pairwise.len(),
-            slot: index,
         });
-        self.entries[index].block = Some(BlockRef { class, dim, group });
+        last.slots.push(index);
+        let group = last.groups.len() - 1;
+        self.entries[index].block = Some(BlockRef {
+            class,
+            dim,
+            page,
+            group,
+        });
     }
 
-    /// Unpacks a slot's rows from its block: the row range is drained
+    /// Unpacks a slot's rows from its page: the row range is drained
     /// (later rows shift down, preserving scan order), later groups'
     /// offsets and their slots' back-references are repaired, and an
-    /// emptied block is dropped.
+    /// emptied page (and then an emptied pair) is dropped.
     fn unregister_slot(&mut self, bref: BlockRef) {
-        let block = self
+        let key = (bref.class, bref.dim);
+        let pages = self
             .blocks
-            .get_mut(&(bref.class, bref.dim))
+            .get_mut(&key)
             .expect("slot block ref points at a live block");
-        let g = block.groups[bref.group];
-        block.w.remove_rows(g.start..g.start + g.len);
-        block.bias.drain(g.start..g.start + g.len);
-        block.c_prime.drain(g.start..g.start + g.len);
-        block.groups.remove(bref.group);
-        for grp in &mut block.groups[bref.group..] {
+        let page = &mut pages[bref.page];
+        let g = page.groups.remove(bref.group);
+        page.slots.remove(bref.group);
+        let rows = g.start..g.start + g.len;
+        page.w.remove_rows(rows.clone());
+        page.bias.drain(rows.clone());
+        page.c_prime.drain(rows);
+        for (grp, &slot) in page.groups[bref.group..]
+            .iter_mut()
+            .zip(&page.slots[bref.group..])
+        {
             grp.start -= g.len;
-            let back = self.entries[grp.slot]
-                .block
-                .as_mut()
-                .expect("packed slot keeps its block ref");
-            back.group -= 1;
+            self.entries[slot].block_mut().group -= 1;
         }
-        if block.groups.is_empty() {
-            self.blocks.remove(&(bref.class, bref.dim));
+        if page.groups.is_empty() {
+            pages.remove(bref.page);
+            for later in &pages[bref.page..] {
+                for &slot in &later.slots {
+                    self.entries[slot].block_mut().page -= 1;
+                }
+            }
+            if pages.is_empty() {
+                self.blocks.remove(&key);
+            }
         }
     }
 
@@ -691,10 +735,10 @@ impl RegionCache {
     /// Drops every cached entry of `class` keyed by `fingerprint` —
     /// collision-fallback entries included, which is why this scans
     /// instead of consulting `by_fingerprint` alone. The drift detector's
-    /// cache half: a region the hidden model no longer explains is removed
-    /// here (and tombstoned in the durable store by the serving tier).
-    /// Returns the number of entries removed; removals do not count as
-    /// capacity evictions.
+    /// cache half, and the store's tombstone suppression: a region the
+    /// hidden model no longer explains is removed here (and tombstoned in
+    /// the durable store by the serving tier). Returns the number of
+    /// entries removed; removals do not count as capacity evictions.
     pub fn evict_fingerprint(&mut self, class: usize, fingerprint: RegionFingerprint) -> usize {
         let mut removed = 0;
         while let Some(index) = self
@@ -708,68 +752,45 @@ impl RegionCache {
         removed
     }
 
-    /// Removes the slot at `index` via `swap_remove`, repairing both index
-    /// maps (entries pointing at the victim vanish, entries pointing at the
-    /// moved last slot are redirected) and the packed blocks (the victim's
-    /// rows are unpacked; the moved slot's group follows it).
+    /// Removes the slot at `index`, keeping the survivors in insertion
+    /// order: the victim's rows are unpacked, and every index past it —
+    /// in both maps, the packed groups and the clock hand — shifts down
+    /// by one.
     fn remove_slot(&mut self, index: usize) {
         if let Some(bref) = self.entries[index].block {
             self.unregister_slot(bref);
         }
-        let last = self.entries.len() - 1;
-        self.entries.swap_remove(index);
-        if index < self.entries.len() {
-            if let Some(bref) = self.entries[index].block {
-                self.blocks
-                    .get_mut(&(bref.class, bref.dim))
-                    .expect("moved slot's block ref points at a live block")
-                    .groups[bref.group]
-                    .slot = index;
+        self.entries.remove(index);
+        for page in self.blocks.values_mut().flatten() {
+            for slot in &mut page.slots {
+                survives(slot, index);
             }
         }
-        self.by_fingerprint.retain(|_, v| {
-            if *v == index {
-                return false;
-            }
-            if *v == last {
-                *v = index;
-            }
-            true
-        });
-        self.by_region_id.retain(|_, v| {
-            if *v == index {
-                return false;
-            }
-            if *v == last {
-                *v = index;
-            }
-            true
-        });
+        self.by_fingerprint.retain(|_, v| survives(v, index));
+        self.by_region_id.retain(|_, v| survives(v, index));
+        survives(&mut self.hand, index);
     }
 }
 
-/// The chunk of whole groups starting at group `g`: extends until at
-/// least [`CHUNK_ROWS`] rows are covered (groups are never split, so a
-/// region's verdict is always decided within one pass). Returns
-/// `(end_group, first_row, end_row)`.
-fn chunk_bounds(block: &ClassBlock, g: usize) -> (usize, usize, usize) {
-    let row0 = block.groups[g].start;
-    let mut g_end = g;
-    let mut row_end = row0;
-    while g_end < block.groups.len() && row_end - row0 < CHUNK_ROWS {
-        row_end += block.groups[g_end].len;
-        g_end += 1;
+/// Repairs an entries index after `entries.remove(removed)`: later indices
+/// shift down by one. Returns whether the index survives (it is not the
+/// removed slot itself).
+fn survives(v: &mut usize, removed: usize) -> bool {
+    if *v == removed {
+        return false;
     }
-    (g_end, row0, row_end)
+    if *v > removed {
+        *v -= 1;
+    }
+    true
 }
 
 /// Whether two interpretations recovered the same region's parameters, up
 /// to solver round-off: same class, same contrast order, and every weight
 /// and bias within `tol` (relative). Used to distinguish "same region,
 /// independently re-solved" (merge) from a fingerprint collision (keep
-/// both). Public so other region-keyed tiers (the durable store in
-/// `openapi-store`) apply the identical merge criterion.
-pub fn interpretations_agree(a: &Interpretation, b: &Interpretation, tol: f64) -> bool {
+/// both).
+fn interpretations_agree(a: &Interpretation, b: &Interpretation, tol: f64) -> bool {
     a.class == b.class
         && a.pairwise.len() == b.pairwise.len()
         && a.pairwise.iter().zip(&b.pairwise).all(|(p, q)| {
@@ -817,6 +838,16 @@ mod tests {
         probs
     }
 
+    /// Inserts under the interpretation's own 6-digit fingerprint.
+    fn insert(
+        cache: &mut RegionCache,
+        i: Arc<Interpretation>,
+        region: Option<RegionId>,
+    ) -> CachedRegion {
+        let fingerprint = i.fingerprint(6);
+        cache.insert(fingerprint, i, region).0
+    }
+
     fn bounded(capacity: usize) -> RegionCache {
         RegionCache::new(RegionCacheConfig {
             capacity: Some(capacity),
@@ -828,7 +859,7 @@ mod tests {
     fn unbounded_cache_never_evicts_and_preserves_order() {
         let mut cache = RegionCache::default();
         for i in 0..100 {
-            cache.insert(interp(0, i as f64), None);
+            insert(&mut cache, interp(0, i as f64), None);
         }
         assert_eq!(cache.len(), 100);
         assert_eq!(cache.evictions(), 0);
@@ -843,7 +874,11 @@ mod tests {
     fn capacity_bound_is_enforced_by_clock_eviction() {
         let mut cache = bounded(4);
         for i in 0..20 {
-            cache.insert(interp(0, i as f64), Some(RegionId::from_index(i)));
+            insert(
+                &mut cache,
+                interp(0, i as f64),
+                Some(RegionId::from_index(i)),
+            );
             assert!(cache.len() <= 4, "capacity bound violated at insert {i}");
         }
         assert_eq!(cache.len(), 4);
@@ -854,13 +889,25 @@ mod tests {
     fn recently_looked_up_entries_survive_the_sweep() {
         let mut cache = bounded(3);
         for i in 0..3 {
-            cache.insert(interp(0, i as f64), Some(RegionId::from_index(i)));
+            insert(
+                &mut cache,
+                interp(0, i as f64),
+                Some(RegionId::from_index(i)),
+            );
         }
         // Sweep once so every slot's initial reference bit is cleared.
-        cache.insert(interp(0, 100.0), Some(RegionId::from_index(100)));
+        insert(
+            &mut cache,
+            interp(0, 100.0),
+            Some(RegionId::from_index(100)),
+        );
         // Touch region 100; the next insert must evict something else.
         assert!(cache.lookup_region(0, &RegionId::from_index(100)).is_some());
-        cache.insert(interp(0, 101.0), Some(RegionId::from_index(101)));
+        insert(
+            &mut cache,
+            interp(0, 101.0),
+            Some(RegionId::from_index(101)),
+        );
         assert!(
             cache.lookup_region(0, &RegionId::from_index(100)).is_some(),
             "referenced entry must get a second chance"
@@ -870,12 +917,16 @@ mod tests {
     #[test]
     fn eviction_repairs_the_index_maps() {
         let mut cache = bounded(2);
-        cache.insert(interp(0, 1.0), Some(RegionId::from_index(1)));
-        cache.insert(interp(0, 2.0), Some(RegionId::from_index(2)));
+        insert(&mut cache, interp(0, 1.0), Some(RegionId::from_index(1)));
+        insert(&mut cache, interp(0, 2.0), Some(RegionId::from_index(2)));
         // Force evictions and verify every surviving oracle key still
         // resolves to the entry carrying its own parameters.
         for i in 3..40 {
-            cache.insert(interp(0, i as f64), Some(RegionId::from_index(i)));
+            insert(
+                &mut cache,
+                interp(0, i as f64),
+                Some(RegionId::from_index(i)),
+            );
             for j in 1..=i {
                 if let Some(hit) = cache.lookup_region(0, &RegionId::from_index(j)) {
                     assert_eq!(
@@ -892,7 +943,7 @@ mod tests {
         let mut cache = bounded(8);
         let x = Vector(vec![0.4]);
         for i in 0..50 {
-            cache.insert(interp(0, i as f64 + 0.5), None);
+            insert(&mut cache, interp(0, i as f64 + 0.5), None);
             // Every probe that hits must return exactly its own region —
             // the packed blocks track every eviction and swap.
             for j in 0..=i {
@@ -913,7 +964,11 @@ mod tests {
         let victim = interp(0, 3.0);
         let fingerprint = victim.fingerprint(6);
         for i in 0..8 {
-            cache.insert(interp(0, i as f64), Some(RegionId::from_index(i)));
+            insert(
+                &mut cache,
+                interp(0, i as f64),
+                Some(RegionId::from_index(i)),
+            );
         }
         assert_eq!(cache.evict_fingerprint(0, fingerprint), 1);
         assert_eq!(cache.len(), 7);
@@ -934,7 +989,7 @@ mod tests {
         assert_eq!(cache.evict_fingerprint(0, fingerprint), 0);
         // Class-scoped: another class's entry under the same fingerprint
         // value is untouched.
-        cache.insert(interp(1, 3.0), None);
+        insert(&mut cache, interp(1, 3.0), None);
         let other = interp(1, 3.0).fingerprint(6);
         assert_eq!(cache.evict_fingerprint(0, other), 0);
     }
@@ -944,7 +999,7 @@ mod tests {
         let mut cache = RegionCache::default();
         let x = Vector(vec![-0.3]);
         for i in 0..30 {
-            cache.insert(interp(0, i as f64 + 0.25), None);
+            insert(&mut cache, interp(0, i as f64 + 0.25), None);
         }
         let target = interp(0, 17.25);
         let probs = consistent_probs(&target, &x);
@@ -960,7 +1015,7 @@ mod tests {
         let mut cache = RegionCache::default();
         let xs: Vec<Vector> = (0..6).map(|i| Vector(vec![0.1 * i as f64 - 0.2])).collect();
         for i in 0..200 {
-            cache.insert(interp(0, i as f64 + 0.5), None);
+            insert(&mut cache, interp(0, i as f64 + 0.5), None);
         }
         let targets: Vec<_> = [3usize, 60, 199, 123, 0, 77]
             .iter()
@@ -992,10 +1047,36 @@ mod tests {
     }
 
     #[test]
+    fn pages_stay_consistent_across_removals_and_delta_scans() {
+        let mut cache = RegionCache::default();
+        let x = Vector(vec![0.4]);
+        for i in 0..300 {
+            insert(&mut cache, interp(0, i as f64 + 0.5), None);
+        }
+        // Empty the first page entirely and punch a hole in the second.
+        for i in (0..128).chain([200]) {
+            let fingerprint = interp(0, i as f64 + 0.5).fingerprint(6);
+            assert_eq!(cache.evict_fingerprint(0, fingerprint), 1);
+        }
+        assert_eq!(cache.group_watermark(0, 1), 171);
+        for j in 0..300 {
+            let target = interp(0, j as f64 + 0.5);
+            let probs = consistent_probs(&target, &x);
+            let hit = cache.lookup_probe(&x, &probs, 0).map(|h| h.interpretation);
+            let live = j >= 128 && j != 200;
+            assert_eq!(hit, live.then_some(target), "region {j}");
+        }
+        // Delta scans count groups across pages.
+        let probs = consistent_probs(&interp(0, 299.5), &x);
+        assert!(cache.lookup_probe_from(&x, &probs, 0, 150).is_some());
+        assert!(cache.lookup_probe_from(&x, &probs, 0, 171).is_none());
+    }
+
+    #[test]
     fn delta_scans_see_only_groups_past_the_watermark() {
         let mut cache = RegionCache::default();
         let x = Vector(vec![0.9]);
-        cache.insert(interp(0, 1.0), None);
+        insert(&mut cache, interp(0, 1.0), None);
         let watermark = cache.group_watermark(0, 1);
         assert_eq!(watermark, 1);
         let old = interp(0, 1.0);
@@ -1006,7 +1087,7 @@ mod tests {
             .is_none());
         // ...while a region admitted after the watermark is found.
         let fresh = interp(0, 2.0);
-        cache.insert(Arc::clone(&fresh), None);
+        insert(&mut cache, Arc::clone(&fresh), None);
         let fresh_probs = consistent_probs(&fresh, &x);
         let hit = cache
             .lookup_probe_from(&x, &fresh_probs, 0, watermark)
@@ -1017,8 +1098,8 @@ mod tests {
     #[test]
     fn duplicate_solves_merge_to_the_first_entry() {
         let mut cache = RegionCache::default();
-        let a = cache.insert(interp(0, 5.0), None);
-        let b = cache.insert(interp(0, 5.0), None);
+        let a = insert(&mut cache, interp(0, 5.0), None);
+        let b = insert(&mut cache, interp(0, 5.0), None);
         assert_eq!(cache.len(), 1);
         assert_eq!(a.fingerprint, b.fingerprint);
         assert_eq!(a.interpretation, b.interpretation);
@@ -1027,10 +1108,41 @@ mod tests {
     }
 
     #[test]
+    fn a_re_solved_collided_region_merges_instead_of_duplicating() {
+        let mut cache = RegionCache::default();
+        let key = RegionFingerprint(7);
+        let (a, a_fresh) = cache.insert(key, interp(0, 1.0), None);
+        // Same key, genuinely different parameters: a second entry.
+        let (b, b_fresh) = cache.insert(key, interp(0, 5.0), None);
+        // B re-solved: merges into the agreeing collided entry.
+        let (again, again_fresh) = cache.insert(key, interp(0, 5.0), None);
+        assert!(a_fresh && b_fresh && !again_fresh);
+        assert_eq!(cache.len(), 2);
+        assert_ne!(a, b);
+        assert_eq!(again, b);
+        assert!(cache.contains(0, key));
+        assert!(!cache.contains(1, key));
+    }
+
+    #[test]
+    fn removal_keeps_insertion_order() {
+        let mut cache = RegionCache::default();
+        for i in 0..6 {
+            insert(&mut cache, interp(0, i as f64), None);
+        }
+        assert_eq!(cache.evict_fingerprint(0, interp(0, 2.0).fingerprint(6)), 1);
+        let order: Vec<f64> = cache
+            .iter()
+            .map(|r| r.interpretation.pairwise[0].weights[0])
+            .collect();
+        assert_eq!(order, [0.0, 1.0, 3.0, 4.0, 5.0]);
+    }
+
+    #[test]
     fn classes_are_disjoint() {
         let mut cache = RegionCache::default();
-        cache.insert(interp(0, 1.0), None);
-        cache.insert(interp(1, 1.0), None);
+        insert(&mut cache, interp(0, 1.0), None);
+        insert(&mut cache, interp(1, 1.0), None);
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.class_len(0), 1);
         assert_eq!(cache.class_len(1), 1);
@@ -1040,7 +1152,7 @@ mod tests {
     fn clear_empties_but_keeps_eviction_count() {
         let mut cache = bounded(2);
         for i in 0..5 {
-            cache.insert(interp(0, i as f64), None);
+            insert(&mut cache, interp(0, i as f64), None);
         }
         let evicted = cache.evictions();
         assert!(evicted > 0);

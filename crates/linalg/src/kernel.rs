@@ -65,10 +65,19 @@ impl RowMatrix {
     /// # Panics
     /// When `cols == 0`.
     pub fn new(cols: usize) -> Self {
+        Self::with_capacity(cols, 0)
+    }
+
+    /// An empty matrix of `cols` columns with room for `rows` rows, so
+    /// pushing that many allocates once.
+    ///
+    /// # Panics
+    /// When `cols == 0`.
+    pub fn with_capacity(cols: usize, rows: usize) -> Self {
         assert!(cols > 0, "RowMatrix requires at least one column");
         RowMatrix {
             cols,
-            data: Vec::new(),
+            data: Vec::with_capacity(cols * rows),
         }
     }
 

@@ -7,7 +7,7 @@ use crate::stats::{DriftStats, FabricStats, ServiceStats, StageSlot, StatsSnapsh
 use crossbeam::channel::{self, Receiver, Sender};
 use openapi_api::PredictionApi;
 use openapi_core::batch::queries_consumed;
-use openapi_core::cache::ProbeRef;
+use openapi_core::cache::{CachedRegion, ProbeRef};
 use openapi_core::decision::{Interpretation, RegionFingerprint};
 use openapi_core::equations::Probe;
 use openapi_core::openapi::{EdgeSearch, OpenApiConfig, OpenApiInterpreter};
@@ -424,7 +424,7 @@ impl<M: PredictionApi + Send + Sync + 'static> InterpretationService<M> {
         &self.inner.config
     }
 
-    /// Borrow the shared region cache (e.g. to snapshot it).
+    /// Borrow the shared region cache (e.g. to seed or inspect it).
     pub fn cache(&self) -> &SharedRegionCache {
         &self.inner.cache
     }
@@ -519,7 +519,6 @@ impl<M: PredictionApi + Send + Sync + 'static> InterpretationService<M> {
         parent: RequestSpan,
     ) -> Vec<Ticket> {
         let inner = self.inner.as_ref();
-        let (d, c_total) = (inner.api.dim(), inner.api.num_classes());
         let mut tickets = Vec::with_capacity(requests.len());
         // Jobs that survive validation, paired with their (already paid)
         // membership probe.
@@ -548,28 +547,7 @@ impl<M: PredictionApi + Send + Sync + 'static> InterpretationService<M> {
                 finish(inner, job, Err(ServeError::DeadlineExceeded));
                 continue;
             }
-            // Validation mirrors `handle_job`: doomed requests are not
-            // billed a single query.
-            if job.x.len() != d {
-                let e = InterpretError::DimensionMismatch {
-                    expected: d,
-                    found: job.x.len(),
-                };
-                finish(inner, job, Err(ServeError::Interpret(e)));
-                continue;
-            }
-            if c_total < 2 {
-                let e = InterpretError::TooFewClasses {
-                    num_classes: c_total,
-                };
-                finish(inner, job, Err(ServeError::Interpret(e)));
-                continue;
-            }
-            if job.class >= c_total {
-                let e = InterpretError::ClassOutOfRange {
-                    class: job.class,
-                    num_classes: c_total,
-                };
+            if let Err(e) = validate(&inner.api, &job) {
                 finish(inner, job, Err(ServeError::Interpret(e)));
                 continue;
             }
@@ -611,14 +589,7 @@ impl<M: PredictionApi + Send + Sync + 'static> InterpretationService<M> {
                 Some(cached) => {
                     ServiceStats::add(&inner.stats.hits, 1);
                     job.span.event_at(Stage::CacheHit, 0, batch_at);
-                    let served = Served {
-                        interpretation: cached.interpretation,
-                        fingerprint: cached.fingerprint,
-                        outcome: ServeOutcome::CacheHit,
-                        queries: job.queries_spent,
-                        latency: job.submitted.elapsed(),
-                        span: job.span.id(),
-                    };
+                    let served = served(&job, cached, ServeOutcome::CacheHit);
                     finish(inner, job, Ok(served));
                 }
                 None => {
@@ -970,6 +941,44 @@ fn finish(inner: &Inner<impl PredictionApi>, job: Job, result: Result<Served, Se
     let _ = job.reply.send(result);
 }
 
+/// The reply for a request satisfied by `region`: the queries it spent
+/// and its latency so far are read off the job.
+fn served(job: &Job, region: CachedRegion, outcome: ServeOutcome) -> Served {
+    Served {
+        interpretation: region.interpretation,
+        fingerprint: region.fingerprint,
+        outcome,
+        queries: job.queries_spent,
+        latency: job.submitted.elapsed(),
+        span: job.span.id(),
+    }
+}
+
+/// Argument validation, mirroring `OpenApiInterpreter::interpret`, run
+/// before a request's first query: doomed requests are not billed a
+/// single one.
+fn validate(api: &impl PredictionApi, job: &Job) -> Result<(), InterpretError> {
+    let (d, c_total) = (api.dim(), api.num_classes());
+    if job.x.len() != d {
+        return Err(InterpretError::DimensionMismatch {
+            expected: d,
+            found: job.x.len(),
+        });
+    }
+    if c_total < 2 {
+        return Err(InterpretError::TooFewClasses {
+            num_classes: c_total,
+        });
+    }
+    if job.class >= c_total {
+        return Err(InterpretError::ClassOutOfRange {
+            class: job.class,
+            num_classes: c_total,
+        });
+    }
+    Ok(())
+}
+
 fn expired(job: &Job) -> bool {
     job.deadline.is_some_and(|d| clock::now() > d)
 }
@@ -984,27 +993,7 @@ fn handle_job<M: PredictionApi>(inner: &Inner<M>, tx: &Sender<Msg>, mut job: Job
     if expired(&job) {
         return finish(inner, job, Err(ServeError::DeadlineExceeded));
     }
-    // Argument validation mirrors `OpenApiInterpreter::interpret`: doomed
-    // requests must not be billed a single query.
-    let (d, c_total) = (inner.api.dim(), inner.api.num_classes());
-    if job.x.len() != d {
-        let e = InterpretError::DimensionMismatch {
-            expected: d,
-            found: job.x.len(),
-        };
-        return finish(inner, job, Err(ServeError::Interpret(e)));
-    }
-    if c_total < 2 {
-        let e = InterpretError::TooFewClasses {
-            num_classes: c_total,
-        };
-        return finish(inner, job, Err(ServeError::Interpret(e)));
-    }
-    if job.class >= c_total {
-        let e = InterpretError::ClassOutOfRange {
-            class: job.class,
-            num_classes: c_total,
-        };
+    if let Err(e) = validate(&inner.api, &job) {
         return finish(inner, job, Err(ServeError::Interpret(e)));
     }
 
@@ -1030,14 +1019,7 @@ fn handle_job<M: PredictionApi>(inner: &Inner<M>, tx: &Sender<Msg>, mut job: Job
     if let Some(hit) = hit {
         ServiceStats::add(&inner.stats.hits, 1);
         job.span.event_at(Stage::CacheHit, 0, at);
-        let served = Served {
-            interpretation: hit.interpretation,
-            fingerprint: hit.fingerprint,
-            outcome: ServeOutcome::CacheHit,
-            queries: job.queries_spent,
-            latency: job.submitted.elapsed(),
-            span: job.span.id(),
-        };
+        let served = served(&job, hit, ServeOutcome::CacheHit);
         return finish(inner, job, Ok(served));
     }
 
@@ -1055,14 +1037,7 @@ fn handle_job<M: PredictionApi>(inner: &Inner<M>, tx: &Sender<Msg>, mut job: Job
         if let Some(stored) = stored {
             ServiceStats::add(&inner.stats.store_hits, 1);
             let cached = inner.cache.insert(stored.interpretation);
-            let served = Served {
-                interpretation: cached.interpretation,
-                fingerprint: cached.fingerprint,
-                outcome: ServeOutcome::StoreHit,
-                queries: job.queries_spent,
-                latency: job.submitted.elapsed(),
-                span: job.span.id(),
-            };
+            let served = served(&job, cached, ServeOutcome::StoreHit);
             return finish(inner, job, Ok(served));
         }
     }
@@ -1144,10 +1119,7 @@ fn handle_job<M: PredictionApi>(inner: &Inner<M>, tx: &Sender<Msg>, mut job: Job
         Some(hit) => {
             ServiceStats::add(&inner.stats.hits, 1);
             job.span.event(Stage::CacheHit, 0);
-            (
-                Ok((hit.interpretation, hit.fingerprint)),
-                ServeOutcome::CacheHit,
-            )
+            (Ok(hit), ServeOutcome::CacheHit)
         }
         None => {
             let solve_start = clock::now();
@@ -1166,17 +1138,9 @@ fn handle_job<M: PredictionApi>(inner: &Inner<M>, tx: &Sender<Msg>, mut job: Job
     let waiters = guard.release();
     settle_waiters(inner, tx, solved.as_ref(), waiters);
 
-    let result = match solved {
-        Ok((interpretation, fingerprint)) => Ok(Served {
-            interpretation,
-            fingerprint,
-            outcome,
-            queries: job.queries_spent,
-            latency: job.submitted.elapsed(),
-            span: job.span.id(),
-        }),
-        Err(e) => Err(ServeError::Interpret(e)),
-    };
+    let result = solved
+        .map(|region| served(&job, region, outcome))
+        .map_err(ServeError::Interpret);
     finish(inner, job, result);
 }
 
@@ -1188,7 +1152,7 @@ fn lead_solve<M: PredictionApi>(
     inner: &Inner<M>,
     job: &mut Job,
     probs: Vector,
-) -> Result<(Arc<Interpretation>, RegionFingerprint), InterpretError> {
+) -> Result<CachedRegion, InterpretError> {
     let probe = Probe {
         x: job.x.clone(),
         probs,
@@ -1214,7 +1178,7 @@ fn lead_solve<M: PredictionApi>(
             // later observes a free leader slot also observes this bump
             // (the registry mutex orders both), and rechecks.
             inner.ledger.record_solve();
-            Ok((cached.interpretation, cached.fingerprint))
+            Ok(cached)
         }
         Err(e) => {
             ServiceStats::add(&inner.stats.queries, queries_consumed(&e) as u64);
@@ -1232,7 +1196,7 @@ fn lead_solve<M: PredictionApi>(
 fn settle_waiters<M: PredictionApi>(
     inner: &Inner<M>,
     tx: &Sender<Msg>,
-    solved: Result<&(Arc<Interpretation>, RegionFingerprint), &InterpretError>,
+    solved: Result<&CachedRegion, &InterpretError>,
     waiters: Vec<Job>,
 ) {
     let rtol = inner.config.cache.membership_rtol;
@@ -1241,24 +1205,15 @@ fn settle_waiters<M: PredictionApi>(
             finish(inner, waiter, Err(ServeError::DeadlineExceeded));
             continue;
         }
-        let same_region = match solved {
-            Ok((interpretation, _)) => {
-                let probs = waiter.probs.as_ref().expect("waiters carry their probe");
-                interpretation.explains_probe(&waiter.x, probs.as_slice(), rtol)
-            }
-            Err(_) => false,
-        };
-        if same_region {
-            let (interpretation, fingerprint) = solved.expect("checked above");
+        let region = solved.ok().filter(|region| {
+            let probs = waiter.probs.as_ref().expect("waiters carry their probe");
+            region
+                .interpretation
+                .explains_probe(&waiter.x, probs.as_slice(), rtol)
+        });
+        if let Some(region) = region {
             ServiceStats::add(&inner.stats.coalesced_served, 1);
-            let served = Served {
-                interpretation: Arc::clone(interpretation),
-                fingerprint: *fingerprint,
-                outcome: ServeOutcome::Coalesced,
-                queries: waiter.queries_spent,
-                latency: waiter.submitted.elapsed(),
-                span: waiter.span.id(),
-            };
+            let served = served(&waiter, region.clone(), ServeOutcome::Coalesced);
             finish(inner, waiter, Ok(served));
         } else {
             // Back on the queue: reset the queue-stage clock so the next

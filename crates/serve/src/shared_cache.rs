@@ -30,7 +30,8 @@ pub struct SharedCacheConfig {
     /// Membership-test tolerance (see
     /// [`openapi_core::batch::BatchConfig::membership_rtol`]).
     pub membership_rtol: f64,
-    /// Fingerprint canonicalization digits.
+    /// Fingerprint canonicalization digits: inserts key each region by
+    /// its parameters' fingerprint at this precision.
     pub fingerprint_digits: u32,
     /// Kernel backend every shard's blocked membership scan runs on (see
     /// [`openapi_linalg::kernel`]); backends are bit-identical by
@@ -45,7 +46,7 @@ impl Default for SharedCacheConfig {
             shards: 8,
             capacity: 4096,
             membership_rtol: base.membership_rtol,
-            fingerprint_digits: base.fingerprint_digits,
+            fingerprint_digits: openapi_core::batch::BatchConfig::default().fingerprint_digits,
             backend: base.backend,
         }
     }
@@ -69,7 +70,6 @@ impl SharedRegionCache {
             .map(|_| {
                 RwLock::new(RegionCache::new(RegionCacheConfig {
                     membership_rtol: config.membership_rtol,
-                    fingerprint_digits: config.fingerprint_digits,
                     capacity: Some(per_shard),
                     backend: Arc::clone(&config.backend),
                 }))
@@ -153,7 +153,10 @@ impl SharedRegionCache {
     pub fn insert(&self, interpretation: Arc<Interpretation>) -> CachedRegion {
         let fingerprint = interpretation.fingerprint(self.config.fingerprint_digits);
         let shard = (fingerprint.0 % self.shards.len() as u64) as usize;
-        self.shards[shard].write().insert(interpretation, None)
+        let (cached, _) = self.shards[shard]
+            .write()
+            .insert(fingerprint, interpretation, None);
+        cached
     }
 
     /// Drops every cached entry of `class` keyed by `fingerprint` across

@@ -27,7 +27,7 @@
 //!
 //! Every record on every surface uses one codec ([`record`]): a
 //! `(fingerprint, Interpretation)` payload inside a `len + CRC-64/XZ`
-//! frame. The cache snapshot format in `openapi-serve` wraps the same
+//! frame. The fabric's sync deltas and the serving wire carry the same
 //! frames, so the workspace has exactly one persistence framing to audit.
 //! *Tombstones* — "forget this region" facts emitted by the drift
 //! detector when the hidden model was silently swapped — travel in the
@@ -39,27 +39,32 @@
 //! # Durability protocol
 //!
 //! * **Append** ([`RegionStore::append`]): dedup against the in-memory
-//!   index (already-stored regions cost no I/O), then hand the encoded
-//!   frame to a dedicated flusher thread. The flusher batches whatever has
-//!   accumulated (up to [`StoreConfig::flush_batch`] records), writes once,
-//!   and `fsync`s once — many inserts per sync under load, one sync per
-//!   insert when idle. [`RegionStore::flush`] is the explicit barrier.
+//!   index — an unbounded [`openapi_core::cache::RegionCache`], so the
+//!   store's lookups and merges run on the same membership scan and merge
+//!   rule as the serving cache (already-stored regions cost no I/O) — then
+//!   hand the encoded frame to a dedicated flusher thread. The flusher
+//!   batches whatever has accumulated (up to [`StoreConfig::flush_batch`]
+//!   records), writes once, and `fsync`s once — many inserts per sync
+//!   under load, one sync per insert when idle. [`RegionStore::flush`] is
+//!   the explicit barrier.
 //! * **Recovery** ([`RegionStore::open`]): replay segments in sequence
 //!   order, then the WAL's longest valid record prefix. A torn tail —
 //!   a crash mid-write — fails its frame's CRC, gets clipped (the file is
 //!   truncated back to the valid prefix), and costs at most the records
 //!   of the final unsynced batch, never a wrong record.
-//! * **Compaction** ([`RegionStore::compact`]): fold everything into one
-//!   fresh segment (tmp-write, fsync, atomic rename), *then* empty the WAL
-//!   and drop the older segments. Every record is durable in at least one
-//!   file at every instant; a crash anywhere leaves duplicates at worst,
-//!   which recovery's dedup folds.
+//! * **Compaction** ([`RegionStore::compact`]): fold everything — the live
+//!   regions in admission order, then the tombstones — into one fresh
+//!   segment (tmp-write, fsync, atomic rename), *then* empty the WAL and
+//!   drop the older segments. Every record is durable in at least one file
+//!   at every instant; a crash anywhere leaves duplicates at worst, which
+//!   recovery's dedup folds.
 //!
 //! # Exactness is never delegated to the disk
 //!
 //! A lookup ([`RegionStore::lookup_probe`]) only returns a stored region
 //! whose parameters *explain the caller's own probe* at every contrast —
-//! the identical Theorem-2 membership test the in-memory cache applies.
+//! the Theorem-2 membership test, run by the same kernel-packed
+//! `RegionCache` scan the serving cache uses.
 //! Bytes can rot, directories can be swapped, a store can come from a
 //! different model entirely: a record either proves itself against the
 //! live API's prediction or it is ignored. The CRC framing exists to keep
@@ -106,7 +111,7 @@ pub mod sync;
 mod wal;
 
 pub use error::StoreError;
-pub use record::{RecordError, RegionTombstone, StoreRecord, StoredRegion};
+pub use record::{RecordError, RegionTombstone, StoreRecord};
 pub use segment::{read_segment, segment_name, SegmentRecovery, SEGMENT_MAGIC};
 pub use stats::{StoreStats, StoreStatsSnapshot};
 pub use sticky::StickyError;
@@ -116,7 +121,7 @@ pub use wal::{Wal, WalRecovery, WAL_MAGIC};
 
 #[cfg(test)]
 pub(crate) mod testutil {
-    use crate::record::StoredRegion;
+    use openapi_core::cache::CachedRegion;
     use openapi_core::decision::{Interpretation, PairwiseCoreParams};
     use openapi_linalg::Vector;
     use openapi_sync::atomic::{AtomicU64, Ordering};
@@ -138,7 +143,7 @@ pub(crate) mod testutil {
     }
 
     /// A synthetic one-contrast region whose weights encode its identity.
-    pub fn region(class: usize, weights: &[f64], bias: f64) -> StoredRegion {
+    pub fn region(class: usize, weights: &[f64], bias: f64) -> CachedRegion {
         let interpretation = Interpretation::from_pairwise(
             class,
             vec![PairwiseCoreParams {
@@ -148,7 +153,7 @@ pub(crate) mod testutil {
             }],
         )
         .unwrap();
-        StoredRegion {
+        CachedRegion {
             fingerprint: interpretation.fingerprint(6),
             interpretation: Arc::new(interpretation),
         }

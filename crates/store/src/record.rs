@@ -1,8 +1,9 @@
 //! The one record codec every persistence surface shares.
 //!
-//! A *record* is one `(fingerprint, Interpretation)` pair. On every durable
-//! surface — the write-ahead log, sealed segments, and the cache snapshot in
-//! `openapi-serve` — a record travels inside a *frame*:
+//! A *record* is one `(fingerprint, Interpretation)` pair — a
+//! [`CachedRegion`], the same type the region caches serve. On every
+//! durable surface — the write-ahead log, sealed segments, and the fabric's
+//! sync deltas — a record travels inside a *frame*:
 //!
 //! ```text
 //! ┌────────────┬────────────┬─────────────────────┐
@@ -25,6 +26,7 @@
 //! never a panic.
 
 use bytes::{Buf, BufMut};
+use openapi_core::cache::CachedRegion;
 use openapi_core::decision::{Interpretation, PairwiseCoreParams, RegionFingerprint};
 use openapi_core::InterpretError;
 use openapi_linalg::codec::{self, CodecError};
@@ -38,17 +40,6 @@ pub const FRAME_HEADER: usize = 12;
 /// fail fast instead of attempting a huge allocation (a real record at
 /// `d = 784`, 100 classes is well under 1 MiB).
 pub const MAX_PAYLOAD: u32 = 1 << 28;
-
-/// One decoded record: the region's canonical key and its interpretation,
-/// already shared so cache admission never copies the payload.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StoredRegion {
-    /// Canonical key of the region (as persisted; lookups re-verify
-    /// membership against the parameters, so a stale key costs nothing).
-    pub fingerprint: RegionFingerprint,
-    /// The region's exact interpretation.
-    pub interpretation: Arc<Interpretation>,
-}
 
 /// A durable "forget this region" fact: the `(class, fingerprint)` key of
 /// a region the hidden model stopped explaining (drift detection caught an
@@ -71,7 +62,7 @@ pub struct RegionTombstone {
 #[derive(Debug, Clone, PartialEq)]
 pub enum StoreRecord {
     /// A solved region's interpretation.
-    Live(StoredRegion),
+    Live(CachedRegion),
     /// A "this key is stale, never serve it" marker.
     Tombstone(RegionTombstone),
 }
@@ -240,7 +231,7 @@ fn put_payload(buf: &mut Vec<u8>, fingerprint: RegionFingerprint, i: &Interpreta
 /// Decodes a record payload written by [`put_payload`]. Decision features
 /// are recomputed from the persisted pairwise parameters (Equation 1 is
 /// deterministic, so the result is bit-identical to the original).
-fn get_payload(mut payload: &[u8]) -> Result<StoredRegion, RecordError> {
+fn get_payload(mut payload: &[u8]) -> Result<CachedRegion, RecordError> {
     let buf = &mut payload;
     if buf.remaining() < 8 {
         return Err(CodecError::Truncated {
@@ -274,7 +265,7 @@ fn get_payload(mut payload: &[u8]) -> Result<StoredRegion, RecordError> {
     }
     let interpretation =
         Interpretation::from_pairwise(class, pairwise).map_err(RecordError::BadEntry)?;
-    Ok(StoredRegion {
+    Ok(CachedRegion {
         fingerprint,
         interpretation: Arc::new(interpretation),
     })
@@ -356,7 +347,7 @@ pub fn sync_key_of(frame: &[u8]) -> u64 {
 /// backs the serving wire, where a tombstone is never an answer); `buf` is
 /// only advanced on success, so prefix replays can stop exactly at the
 /// last valid record.
-pub fn get_record(buf: &mut &[u8]) -> Result<StoredRegion, RecordError> {
+pub fn get_record(buf: &mut &[u8]) -> Result<CachedRegion, RecordError> {
     let mut probe = *buf;
     let payload = get_frame(&mut probe)?;
     if is_tombstone_payload(payload) {
@@ -393,7 +384,7 @@ mod tests {
     use super::*;
     use openapi_linalg::Vector;
 
-    fn region(class: usize, weights: Vec<f64>, bias: f64) -> StoredRegion {
+    fn region(class: usize, weights: Vec<f64>, bias: f64) -> CachedRegion {
         let interpretation = Interpretation::from_pairwise(
             class,
             vec![PairwiseCoreParams {
@@ -403,7 +394,7 @@ mod tests {
             }],
         )
         .unwrap();
-        StoredRegion {
+        CachedRegion {
             fingerprint: interpretation.fingerprint(6),
             interpretation: Arc::new(interpretation),
         }

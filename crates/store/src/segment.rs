@@ -146,11 +146,12 @@ pub(crate) fn sync_dir(dir: &Path) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{RegionTombstone, StoredRegion};
+    use crate::record::RegionTombstone;
     use crate::testutil::{region, temp_dir};
+    use openapi_core::cache::CachedRegion;
     use openapi_core::decision::RegionFingerprint;
 
-    fn live(records: &[StoredRegion]) -> Vec<StoreRecord> {
+    fn live(records: &[CachedRegion]) -> Vec<StoreRecord> {
         records.iter().cloned().map(StoreRecord::Live).collect()
     }
 

@@ -2,19 +2,19 @@
 //! on-disk layout and durability protocol).
 
 use crate::error::StoreError;
-use crate::record::{self, RegionTombstone, StoreRecord, StoredRegion};
+use crate::record::{self, RegionTombstone, StoreRecord};
 use crate::segment::{self, sync_dir};
 use crate::stats::{StoreStats, StoreStatsSnapshot};
 use crate::sticky::StickyError;
 use crate::sync::{StoreDigest, SyncDelta};
 use crate::wal::Wal;
-use openapi_core::cache::interpretations_agree;
+use openapi_core::cache::{CachedRegion, RegionCache, RegionCacheConfig};
 use openapi_core::decision::{Interpretation, RegionFingerprint};
 use openapi_linalg::Vector;
 use openapi_sync::atomic::{AtomicU64, Ordering};
 use openapi_sync::{Mutex, RwLock};
 use openapi_trace::{RequestSpan, Stage};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
@@ -55,105 +55,72 @@ impl Default for StoreConfig {
     }
 }
 
-/// What a sync key addresses: a live record slot or a tombstone slot.
-#[derive(Debug, Clone, Copy)]
-enum Slot {
-    /// Index into [`Index::records`].
-    Live(usize),
-    /// Index into [`Index::tombstones`].
-    Tombstone(usize),
-}
-
 /// The deduplicated in-memory image of everything durable: recovery fills
-/// it, appends extend it, lookups scan it. Mirrors the region cache's
-/// collision discipline — a fingerprint collision between genuinely
-/// different regions keeps both records (the second un-indexed), so the
-/// store can never conflate two regions.
+/// it, appends extend it, lookups scan it. The live regions sit in an
+/// unbounded [`RegionCache`], so the store's lookups and merges run on the
+/// workspace's one membership scan and merge rule: a fingerprint collision
+/// between genuinely different regions keeps both (the store can never
+/// conflate two regions), a re-solve of either merges, and the scan visits
+/// regions in admission order.
 ///
 /// Tombstones win, permanently: once a `(class, fingerprint)` key is
-/// tombstoned, every live record under it is suppressed (its slot cleared,
-/// its sync key dropped from the gossip surface) and no later admit under
-/// the same key succeeds — which makes tombstone-vs-record merge
-/// order-independent, so anti-entropy set-union stays conflict-free. A
-/// re-solve of a genuinely changed region lands under a fresh fingerprint,
-/// so suppression never blocks new facts.
-#[derive(Debug, Default)]
+/// tombstoned, every live region under it is evicted (and its sync key
+/// dropped from the gossip surface) and no later admit under the same key
+/// succeeds — which makes tombstone-vs-record merge order-independent, so
+/// anti-entropy set-union stays conflict-free. A re-solve of a genuinely
+/// changed region lands under a fresh fingerprint, so suppression never
+/// blocks new facts.
+#[derive(Debug)]
 struct Index {
-    /// Live records in admission order; a slot goes `None` when its
-    /// region is tombstoned, keeping positional indices stable.
-    records: Vec<Option<StoredRegion>>,
-    /// Tombstones in admission order.
-    tombstones: Vec<RegionTombstone>,
-    /// Count of live (non-suppressed) records.
-    live: usize,
-    /// `(class, fingerprint) → records index` for the first (canonical)
-    /// record of each key.
-    by_key: HashMap<(usize, u64), usize>,
-    /// `class → records indices`: membership scans (and the collision
-    /// dedup scan) only ever touch one class's bucket, so a store holding
-    /// many classes never pays for the others on a lookup. Buckets may
-    /// point at suppressed slots; iteration filters them.
-    by_class: HashMap<usize, Vec<usize>>,
-    /// `sync key → slot`. The sync key is the frame's CRC-64/XZ (bytes
-    /// `[4..12]` of the encoded frame): it addresses the exact frame
-    /// bytes, so the anti-entropy tier can summarize and exchange records
-    /// — live and tombstone alike — without conflating fingerprint
+    /// The live regions, in admission order.
+    regions: RegionCache,
+    /// Permanently suppressed `(class, fingerprint)` keys (ordered, so
+    /// compaction seals them deterministically).
+    tombstoned: BTreeSet<(usize, u64)>,
+    /// `sync key → record`, live and tombstone alike. The sync key is the
+    /// frame's CRC-64/XZ (bytes `[4..12]` of the encoded frame): it
+    /// addresses the exact frame bytes, so the anti-entropy tier can
+    /// summarize and exchange records without conflating fingerprint
     /// collisions.
-    by_sync_key: HashMap<u64, Slot>,
-    /// Permanently suppressed `(class, fingerprint)` keys.
-    tombstoned: HashSet<(usize, u64)>,
+    by_sync_key: HashMap<u64, StoreRecord>,
 }
 
 impl Index {
+    fn new(membership_rtol: f64) -> Self {
+        Index {
+            regions: RegionCache::new(RegionCacheConfig {
+                membership_rtol,
+                ..RegionCacheConfig::default()
+            }),
+            tombstoned: BTreeSet::new(),
+            by_sync_key: HashMap::new(),
+        }
+    }
+
     /// Admits a record; `Some(frame)` means it was new — the returned
     /// encoded frame is what must be persisted (append reuses it for the
     /// WAL; recovery, which already has it on disk, drops it). `None`
     /// means an agreeing record was already present, or the key is
     /// tombstoned (idempotent either way).
-    fn admit(&mut self, record: StoredRegion, rtol: f64) -> Option<Vec<u8>> {
-        let class = record.interpretation.class;
-        let key = (class, record.fingerprint.0);
-        if self.tombstoned.contains(&key) {
+    fn admit(&mut self, record: CachedRegion) -> Option<Vec<u8>> {
+        let CachedRegion {
+            fingerprint,
+            interpretation,
+        } = record;
+        if self
+            .tombstoned
+            .contains(&(interpretation.class, fingerprint.0))
+        {
             // Tombstone-wins: the key is a dead fact forever. (The caller
             // still owns the freshly solved interpretation and serves it
             // to its own requester — it just never re-enters the store.)
             return None;
         }
-        match self.by_key.get(&key) {
-            Some(&i)
-                if interpretations_agree(
-                    &self.records[i]
-                        .as_ref()
-                        .expect("by_key points at live")
-                        .interpretation,
-                    &record.interpretation,
-                    rtol,
-                ) =>
-            {
-                None
-            }
-            Some(_) => {
-                // Fingerprint collision: store the new region un-indexed —
-                // unless an agreeing record is already present (the same
-                // merge criterion as the indexed path, so a round-off
-                // re-solve of a collided region never appends a duplicate).
-                if self
-                    .class_records(class)
-                    .any(|r| interpretations_agree(&r.interpretation, &record.interpretation, rtol))
-                {
-                    None
-                } else {
-                    Some(self.push(record))
-                }
-            }
-            None => {
-                self.by_key.insert(key, self.records.len());
-                Some(self.push(record))
-            }
-        }
+        let (region, fresh) = self.regions.insert(fingerprint, interpretation, None);
+        fresh.then(|| self.keep(StoreRecord::Live(region)))
     }
 
-    /// Admits a tombstone: suppresses every live record under its
+    /// Admits a tombstone: evicts every live region under its
     /// `(class, fingerprint)` key — the canonical one and any collided
     /// duplicates — and removes their sync keys from the gossip surface,
     /// so two stores that both tombstone a key converge to equal digests.
@@ -164,81 +131,49 @@ impl Index {
         if !self.tombstoned.insert(key) {
             return None;
         }
-        self.by_key.remove(&key);
-        for i in self.by_class.get(&t.class).cloned().unwrap_or_default() {
-            let suppressed = self.records[i]
-                .as_ref()
-                .is_some_and(|r| r.fingerprint == t.fingerprint);
-            if !suppressed {
-                continue;
-            }
-            let dead = self.records[i].take().expect("checked above");
-            self.live -= 1;
-            let sync_key = record::sync_key_of(&record::encode_record(
-                dead.fingerprint,
-                &dead.interpretation,
-            ));
-            // Drop the mapping only if this slot owns it (a CRC collision
-            // leaves the first owner in place).
-            if let Some(Slot::Live(owner)) = self.by_sync_key.get(&sync_key) {
-                if *owner == i {
-                    self.by_sync_key.remove(&sync_key);
-                }
-            }
-        }
-        let frame = record::encode_tombstone(t);
-        // `or_insert` as in `push`: a CRC collision never corrupts the
-        // digest's image of `by_sync_key`.
-        self.by_sync_key
-            .entry(record::sync_key_of(&frame))
-            .or_insert(Slot::Tombstone(self.tombstones.len()));
-        self.tombstones.push(t);
-        Some(frame)
+        self.regions.evict_fingerprint(t.class, t.fingerprint);
+        self.by_sync_key.retain(|_, r| r.key() != key);
+        Some(self.keep(StoreRecord::Tombstone(t)))
     }
 
-    /// Appends an admitted record, indexing it by class and sync key, and
-    /// returns its canonical encoded frame (deterministic, so it is
-    /// byte-identical to what recovery will read back).
-    fn push(&mut self, record: StoredRegion) -> Vec<u8> {
-        let frame = record::encode_record(record.fingerprint, &record.interpretation);
+    /// Replays one recovered record. It is already durable, so the frame
+    /// an admission returns is not re-persisted.
+    fn replay(&mut self, record: StoreRecord) {
+        let _ = match record {
+            StoreRecord::Live(r) => self.admit(r),
+            StoreRecord::Tombstone(t) => self.admit_tombstone(t),
+        };
+    }
+
+    /// Files an admitted record under its sync key and returns its
+    /// canonical encoded frame (deterministic, so it is byte-identical to
+    /// what recovery will read back).
+    fn keep(&mut self, record: StoreRecord) -> Vec<u8> {
+        let frame = record.encode();
         // A CRC collision between different records would leave the later
         // one unsummarized (it still serves locally; it just never gossips)
         // — `or_insert` keeps the digest an exact image of `by_sync_key`.
         self.by_sync_key
             .entry(record::sync_key_of(&frame))
-            .or_insert(Slot::Live(self.records.len()));
-        self.by_class
-            .entry(record.interpretation.class)
-            .or_default()
-            .push(self.records.len());
-        self.records.push(Some(record));
-        self.live += 1;
+            .or_insert(record);
         frame
     }
 
-    /// The live records of one class, in admission order (suppressed
-    /// slots skipped).
-    fn class_records(&self, class: usize) -> impl Iterator<Item = &StoredRegion> {
-        self.by_class
-            .get(&class)
-            .into_iter()
-            .flatten()
-            .filter_map(|&i| self.records[i].as_ref())
-    }
-
-    /// Everything durable, for compaction: live records then tombstones,
-    /// each in admission order. (Tombstone-wins is order-independent, so
+    /// Everything durable, for compaction: live regions in admission
+    /// order, then tombstones. (Tombstone-wins is order-independent, so
     /// any deterministic order is a faithful fold.)
     fn all_records(&self) -> Vec<StoreRecord> {
-        let mut out: Vec<StoreRecord> = self
-            .records
+        let tombstones = self.tombstoned.iter().map(|&(class, fp)| {
+            StoreRecord::Tombstone(RegionTombstone {
+                fingerprint: RegionFingerprint(fp),
+                class,
+            })
+        });
+        self.regions
             .iter()
-            .flatten()
-            .cloned()
             .map(StoreRecord::Live)
-            .collect();
-        out.extend(self.tombstones.iter().copied().map(StoreRecord::Tombstone));
-        out
+            .chain(tombstones)
+            .collect()
     }
 }
 
@@ -307,7 +242,7 @@ impl RegionStore {
         std::fs::create_dir_all(&dir)?;
 
         let stats = StoreStats::default();
-        let mut index = Index::default();
+        let mut index = Index::new(config.membership_rtol);
         let segments = segment::list_segments(&dir)?;
         for (_, path) in &segments {
             let recovered = segment::read_segment(path)?;
@@ -316,32 +251,12 @@ impl RegionStore {
                 recovered.records.len() as u64,
             );
             StoreStats::add(&stats.recovered_discarded_bytes, recovered.discarded_bytes);
-            for r in recovered.records {
-                // Already durable: the returned frame is not re-persisted.
-                match r {
-                    StoreRecord::Live(r) => {
-                        let _ = index.admit(r, config.membership_rtol);
-                    }
-                    StoreRecord::Tombstone(t) => {
-                        let _ = index.admit_tombstone(t);
-                    }
-                }
-            }
+            recovered.records.into_iter().for_each(|r| index.replay(r));
         }
         let (wal, recovered) = Wal::open(&dir.join("wal.log"))?;
         StoreStats::add(&stats.recovered_wal_records, recovered.records.len() as u64);
         StoreStats::add(&stats.recovered_discarded_bytes, recovered.discarded_bytes);
-        for r in recovered.records {
-            // Already durable: the returned frame is not re-persisted.
-            match r {
-                StoreRecord::Live(r) => {
-                    let _ = index.admit(r, config.membership_rtol);
-                }
-                StoreRecord::Tombstone(t) => {
-                    let _ = index.admit_tombstone(t);
-                }
-            }
-        }
+        recovered.records.into_iter().for_each(|r| index.replay(r));
 
         let wal_bytes = wal.len();
         let compact_now = wal_bytes >= config.compact_wal_bytes;
@@ -386,17 +301,17 @@ impl RegionStore {
     /// Distinct live regions the store holds (durable or queued durable;
     /// tombstone-suppressed regions are not counted).
     pub fn len(&self) -> usize {
-        self.shared.index.read().live
+        self.shared.index.read().regions.len()
     }
 
     /// Whether the store holds no live regions.
     pub fn is_empty(&self) -> bool {
-        self.shared.index.read().live == 0
+        self.shared.index.read().regions.is_empty()
     }
 
     /// Distinct tombstoned `(class, fingerprint)` keys the store holds.
     pub fn tombstone_count(&self) -> usize {
-        self.shared.index.read().tombstones.len()
+        self.shared.index.read().tombstoned.len()
     }
 
     /// A point-in-time statistics snapshot (counters + gauges).
@@ -412,20 +327,20 @@ impl RegionStore {
         )
     }
 
-    /// Black-box membership lookup, mirroring
-    /// [`openapi_core::cache::RegionCache::lookup_probe`]: the first
-    /// stored region of `class` whose core parameters explain the
-    /// prediction `probs` observed at `x` (Theorem 2). The returned
-    /// interpretation is an `Arc` share of the stored record — no payload
-    /// copy.
-    pub fn lookup_probe(&self, x: &Vector, probs: &[f64], class: usize) -> Option<StoredRegion> {
+    /// Black-box membership lookup, answered by
+    /// [`RegionCache::lookup_probe`]'s kernel-packed scan: the first
+    /// stored region of `class`, in admission order, whose core parameters
+    /// explain the prediction `probs` observed at `x` (Theorem 2). The
+    /// returned interpretation is an `Arc` share of the stored record — no
+    /// payload copy.
+    pub fn lookup_probe(&self, x: &Vector, probs: &[f64], class: usize) -> Option<CachedRegion> {
         StoreStats::add(&self.shared.stats.lookups, 1);
-        let rtol = self.shared.config.membership_rtol;
-        let index = self.shared.index.read();
-        let hit = index
-            .class_records(class)
-            .find(|r| r.interpretation.explains_probe(x, probs, rtol))
-            .cloned();
+        let hit = self
+            .shared
+            .index
+            .read()
+            .regions
+            .lookup_probe(x, probs, class);
         if hit.is_some() {
             StoreStats::add(&self.shared.stats.hits, 1);
         }
@@ -446,15 +361,10 @@ impl RegionStore {
         fingerprint: RegionFingerprint,
         interpretation: Arc<Interpretation>,
     ) -> bool {
-        let record = StoredRegion {
+        let admitted = self.shared.index.write().admit(CachedRegion {
             fingerprint,
             interpretation,
-        };
-        let admitted = self
-            .shared
-            .index
-            .write()
-            .admit(record, self.shared.config.membership_rtol);
+        });
         let Some(frame) = admitted else {
             StoreStats::add(&self.shared.stats.duplicate_appends, 1);
             return false;
@@ -532,8 +442,8 @@ impl RegionStore {
         self.shared
             .index
             .read()
-            .by_key
-            .contains_key(&(class, fingerprint.0))
+            .regions
+            .contains(class, fingerprint)
     }
 
     /// Every record's sync key, sorted (a stable iteration surface for
@@ -580,27 +490,18 @@ impl RegionStore {
         let wanted: HashSet<u32> = buckets.iter().copied().collect();
         let have: HashSet<u64> = have.iter().copied().collect();
         let index = self.shared.index.read();
-        let mut missing: Vec<(u64, Slot)> = index
+        let mut missing: Vec<(&u64, &StoreRecord)> = index
             .by_sync_key
             .iter()
             .filter(|&(&k, _)| {
                 wanted.contains(&(StoreDigest::bucket_of(k) as u32)) && !have.contains(&k)
             })
-            .map(|(&k, &slot)| (k, slot))
             .collect();
         // Deterministic delta order regardless of hash-map iteration.
-        missing.sort_unstable_by_key(|&(k, _)| k);
+        missing.sort_unstable_by_key(|&(&k, _)| k);
         let mut delta = SyncDelta::default();
-        for (_, slot) in missing {
-            let frame = match slot {
-                Slot::Live(i) => {
-                    let r = index.records[i]
-                        .as_ref()
-                        .expect("live sync keys point at live slots");
-                    record::encode_record(r.fingerprint, &r.interpretation)
-                }
-                Slot::Tombstone(i) => record::encode_tombstone(index.tombstones[i]),
-            };
+        for (_, record) in missing {
+            let frame = record.encode();
             if delta.records > 0 && delta.frames.len() + frame.len() > max_bytes {
                 delta.truncated = true;
                 break;
@@ -1219,7 +1120,7 @@ mod tests {
         let store = open(&dir);
         let a = region(0, &[1.0], 0.0);
         // Same fingerprint key, genuinely different parameters.
-        let b = StoredRegion {
+        let b = CachedRegion {
             fingerprint: a.fingerprint,
             interpretation: region(0, &[5.0], 1.0).interpretation,
         };

@@ -178,10 +178,11 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{encode_record, encode_tombstone, RegionTombstone, StoredRegion};
+    use crate::record::{encode_record, encode_tombstone, RegionTombstone};
     use crate::testutil::{region, temp_dir};
+    use openapi_core::cache::CachedRegion;
 
-    fn live(records: &[StoredRegion]) -> Vec<StoreRecord> {
+    fn live(records: &[CachedRegion]) -> Vec<StoreRecord> {
         records.iter().cloned().map(StoreRecord::Live).collect()
     }
 

@@ -11,11 +11,12 @@
 //! interpretations through the record codec, bit for bit.
 
 use openapi_repro::api::CountingApi;
+use openapi_repro::core::cache::CachedRegion;
 use openapi_repro::core::decision::{Interpretation, PairwiseCoreParams};
 use openapi_repro::prelude::*;
 use openapi_repro::serve::ServeOutcome;
 use openapi_repro::store::record::{
-    self, encode_record, encode_tombstone, RegionTombstone, StoreRecord, StoredRegion,
+    self, encode_record, encode_tombstone, RegionTombstone, StoreRecord,
 };
 use openapi_repro::store::{Wal, WAL_MAGIC};
 use openapi_repro::sync::atomic::{AtomicU64, Ordering};
@@ -42,7 +43,7 @@ fn temp_dir(tag: &str) -> PathBuf {
 }
 
 /// A synthetic region whose single weight vector encodes its identity.
-fn region(class: usize, weights: Vec<f64>, bias: f64) -> StoredRegion {
+fn region(class: usize, weights: Vec<f64>, bias: f64) -> CachedRegion {
     let interpretation = Interpretation::from_pairwise(
         class,
         vec![PairwiseCoreParams {
@@ -52,14 +53,14 @@ fn region(class: usize, weights: Vec<f64>, bias: f64) -> StoredRegion {
         }],
     )
     .unwrap();
-    StoredRegion {
+    CachedRegion {
         fingerprint: interpretation.fingerprint(6),
         interpretation: Arc::new(interpretation),
     }
 }
 
 /// A tombstone suppressing `r`'s `(class, fingerprint)` key.
-fn tombstone_of(r: &StoredRegion) -> StoreRecord {
+fn tombstone_of(r: &CachedRegion) -> StoreRecord {
     StoreRecord::Tombstone(RegionTombstone {
         fingerprint: r.fingerprint,
         class: r.interpretation.class,
@@ -125,7 +126,7 @@ fn truncating_the_wal_at_every_byte_boundary_recovers_a_valid_prefix() {
     // Mixed live records and tombstones: one tombstone retracting an
     // earlier record in the same log, one for a key the log never held
     // (replicated from a peer before the record itself arrived).
-    let live: Vec<StoredRegion> = (0..5)
+    let live: Vec<CachedRegion> = (0..5)
         .map(|i| {
             region(
                 i % 3,
@@ -363,7 +364,7 @@ fn store_written_by_a_different_model_never_poisons_serves() {
     // clean solves.
     let dir = temp_dir("service_foreign");
     let mut rng = StdRng::seed_from_u64(11);
-    let foreign: Vec<StoredRegion> = (0..4)
+    let foreign: Vec<CachedRegion> = (0..4)
         .map(|i| {
             region(
                 i % 3,
