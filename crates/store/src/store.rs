@@ -103,20 +103,18 @@ impl Index {
     /// means an agreeing record was already present, or the key is
     /// tombstoned (idempotent either way).
     fn admit(&mut self, record: CachedRegion) -> Option<Vec<u8>> {
-        let CachedRegion {
-            fingerprint,
-            interpretation,
-        } = record;
         if self
             .tombstoned
-            .contains(&(interpretation.class, fingerprint.0))
+            .contains(&(record.interpretation.class, record.fingerprint.0))
         {
             // Tombstone-wins: the key is a dead fact forever. (The caller
             // still owns the freshly solved interpretation and serves it
             // to its own requester — it just never re-enters the store.)
             return None;
         }
-        let (region, fresh) = self.regions.insert(fingerprint, interpretation, None);
+        let (region, fresh) = self
+            .regions
+            .insert(record.fingerprint, record.interpretation, None);
         fresh.then(|| self.keep(StoreRecord::Live(region)))
     }
 
