@@ -4,11 +4,11 @@
 //! `openapi-exp` report these numbers as the paper's, so a change to the
 //! default edge search or sampling order fails here first.
 
-use openapi_api::{CountingApi, LinearSoftmaxModel, LocalLinearModel, TwoRegionPlm};
-use openapi_core::{Interpretation, OpenApiConfig, OpenApiInterpreter};
+mod golden;
+
+use openapi_api::{LinearSoftmaxModel, LocalLinearModel, TwoRegionPlm};
+use openapi_core::OpenApiConfig;
 use openapi_linalg::{Matrix, Vector};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// The d=4, C=4 logistic model of the `openapi` unit tests (one region).
 fn linear_model() -> LinearSoftmaxModel {
@@ -36,44 +36,14 @@ fn two_region_model() -> TwoRegionPlm {
     TwoRegionPlm::axis_split(0, 0.5, low, high)
 }
 
-/// FNV-1a over the exact bits of every number in `interpretation`.
-fn digest(interpretation: &Interpretation) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
-    let mut eat = |word: u64| {
-        for b in word.to_le_bytes() {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    };
-    eat(interpretation.class as u64);
-    for v in interpretation.decision_features.iter() {
-        eat(v.to_bits());
-    }
-    for p in &interpretation.pairwise {
-        eat(p.c_prime as u64);
-        eat(p.bias.to_bits());
-        for w in p.weights.iter() {
-            eat(w.to_bits());
-        }
-    }
-    hash
-}
-
-/// `(iterations, queries, digest)` of one seeded default-policy solve; the
-/// query count is read off a `CountingApi`, not the result.
+/// `(iterations, queries, digest)` of one seeded default-policy solve.
 fn solve<M: openapi_api::PredictionApi>(
     model: M,
     x0: &[f64],
     class: usize,
     seed: u64,
 ) -> (usize, u64, u64) {
-    let api = CountingApi::new(model);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let res = OpenApiInterpreter::new(OpenApiConfig::default())
-        .interpret(&api, &Vector(x0.to_vec()), class, &mut rng)
-        .expect("the paper policy solves every pinned case");
-    assert_eq!(res.queries as u64, api.queries());
-    (res.iterations, api.queries(), digest(&res.interpretation))
+    golden::solve(OpenApiConfig::default(), model, x0, class, seed)
 }
 
 #[test]
