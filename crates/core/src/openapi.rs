@@ -56,11 +56,6 @@ impl Default for OpenApiConfig {
     }
 }
 
-/// Segments [`EdgeSearch::PreScreen`] tests per rung before it samples the
-/// rest of `Ω_{d+2}`: 8, capped at `⌊(d+1)/4⌋` so the screen never costs
-/// more than half a rung and a model with `d < 3` runs the paper's rung.
-pub const PRESCREEN_SEGMENTS: usize = 8;
-
 /// How Algorithm 1 spends each rung of its halving edge search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EdgeSearch {
@@ -68,8 +63,8 @@ pub enum EdgeSearch {
     /// `Ω_{d+2}` and check every contrast. A rung costs `d + 1` queries,
     /// so a solve costs `1 + iterations · (d+1)`.
     Halving,
-    /// Before the paper's rung, draw `k` endpoints `x_j`
-    /// ([`PRESCREEN_SEGMENTS`]) one at a time and query each with its
+    /// Before the paper's rung, draw `k(d) = min(max(8, ⌊(d+1)/6⌋),
+    /// ⌊(d+1)/4⌋)` endpoints `x_j` one at a time and query each with its
     /// midpoint `m_j = (x⁰ + x_j)/2`. A midpoint whose log-ratios are not
     /// the mean of its ends' (within `rtol`) halves the edge at once: no
     /// system is built. If all `k` pass, the endpoints become the first
@@ -81,11 +76,17 @@ pub enum EdgeSearch {
 
 impl EdgeSearch {
     /// Segments screened per rung at dimension `d` (`0` under
-    /// [`EdgeSearch::Halving`]).
+    /// [`EdgeSearch::Halving`]). The screen deepens with `d`: a full rung
+    /// passes only if all `d + 1 − k` fill samples land in `x⁰`'s region
+    /// too, so the larger `d` is, the more of the straddling cubes a fixed
+    /// `k` lets through to fail there, each after paying the fill and an
+    /// LU. At least 8 (up to `d = 52` the rule is `min(8, ⌊(d+1)/4⌋)`), and
+    /// never more than `⌊(d+1)/4⌋`, so the screen costs at most half a rung
+    /// and a model with `d < 3` runs the paper's rung.
     pub(crate) fn segments(self, d: usize) -> usize {
         match self {
             EdgeSearch::Halving => 0,
-            EdgeSearch::PreScreen => PRESCREEN_SEGMENTS.min((d + 1) / 4),
+            EdgeSearch::PreScreen => ((d + 1) / 6).max(8).min((d + 1) / 4),
         }
     }
 }
@@ -656,36 +657,65 @@ mod tests {
     }
 
     #[test]
-    fn prescreen_is_exact_near_a_boundary_and_screens_straddling_rungs() {
-        // d = 35, so k = 8 segments per rung; x0 sits 0.01 from the split.
-        let d = 35;
-        assert_eq!(EdgeSearch::PreScreen.segments(d), PRESCREEN_SEGMENTS);
-        let api = wide_two_region_model(d);
-        let x0 = near_split(d);
-        let truth = api.local_model(x0.as_slice()).decision_features(0);
-        let interp = OpenApiInterpreter::new(config(EdgeSearch::PreScreen));
-        let mut screened = 0;
-        for seed in 0..10 {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let res = interp.interpret(&api, &x0, 0, &mut rng).unwrap();
-            let err = res
-                .interpretation
-                .decision_features
-                .l1_distance(&truth)
-                .unwrap();
-            assert!(err < 1e-7, "seed {seed}: L1Dist {err}");
-            for l in res.log.iter().filter(|l| l.screened) {
-                screened += 1;
-                // Rejected after j ≤ k segments of 2 queries, with no system.
-                assert!(l.queries % 2 == 0 && l.queries <= 2 * PRESCREEN_SEGMENTS);
-                assert_eq!(l.consistent_contrasts, 0);
-                assert!(!l.degenerate && l.worst_residual > 0.0);
-            }
-            let last = res.log.last().unwrap();
-            assert!(!last.screened);
-            assert_eq!(last.queries, d + 1 + PRESCREEN_SEGMENTS);
+    fn prescreen_depth_grows_with_the_dimension_under_its_cap() {
+        // k(d) = min(max(8, ⌊(d+1)/6⌋), ⌊(d+1)/4⌋): the fixed 8 of smaller
+        // models up to d = 52, deeper beyond, never over half a rung.
+        let cases = [
+            (2, 0),
+            (3, 1),
+            (35, 8),
+            (52, 8),
+            (53, 9),
+            (100, 16),
+            (196, 32),
+        ];
+        for (d, k) in cases {
+            assert_eq!(EdgeSearch::PreScreen.segments(d), k, "d = {d}");
+            assert!(
+                2 * k <= (d + 1) / 2,
+                "d = {d}: the screen exceeds half a rung"
+            );
+            assert_eq!(EdgeSearch::Halving.segments(d), 0);
         }
-        assert!(screened > 0, "no rung was screened over 10 seeds");
+    }
+
+    #[test]
+    fn prescreen_is_exact_near_a_boundary_and_screens_straddling_rungs() {
+        // x0 sits 0.01 from the split; k = 8, 16 and 32 segments per rung.
+        for d in [35, 100, 196] {
+            let k = EdgeSearch::PreScreen.segments(d);
+            let x0 = near_split(d);
+            let truth = wide_two_region_model(d)
+                .local_model(x0.as_slice())
+                .decision_features(0);
+            let interp = OpenApiInterpreter::new(config(EdgeSearch::PreScreen));
+            let mut screened = 0;
+            for seed in 0..10 {
+                let api = CountingApi::new(wide_two_region_model(d));
+                let mut rng = StdRng::seed_from_u64(seed);
+                let res = interp.interpret(&api, &x0, 0, &mut rng).unwrap();
+                let err = res
+                    .interpretation
+                    .decision_features
+                    .l1_distance(&truth)
+                    .unwrap();
+                assert!(err < 1e-7, "d = {d} seed {seed}: L1Dist {err}");
+                let rungs: usize = res.log.iter().map(|l| l.queries).sum();
+                assert_eq!(res.queries, 1 + rungs, "d = {d} seed {seed}");
+                assert_eq!(res.queries as u64, api.queries());
+                for l in res.log.iter().filter(|l| l.screened) {
+                    screened += 1;
+                    // Rejected after j ≤ k segments of 2 queries, with no system.
+                    assert!(l.queries % 2 == 0 && l.queries <= 2 * k);
+                    assert_eq!(l.consistent_contrasts, 0);
+                    assert!(!l.degenerate && l.worst_residual > 0.0);
+                }
+                let last = res.log.last().unwrap();
+                assert!(!last.screened);
+                assert_eq!(last.queries, d + 1 + k);
+            }
+            assert!(screened > 0, "d = {d}: no rung was screened over 10 seeds");
+        }
     }
 
     #[test]

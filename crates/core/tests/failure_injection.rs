@@ -155,11 +155,16 @@ fn saturated_softmax_still_interpretable_with_clamped_log_ratios() {
     }
 }
 
-/// A d=35, C=3 logistic model: wide enough for the pre-screen's full 8
-/// segments per rung.
-fn wide_model() -> LinearSoftmaxModel {
-    let w = Matrix::from_fn(35, 3, |r, c| ((r * 3 + c) % 7) as f64 * 0.1 - 0.3);
+/// A `d`-dimensional, C=3 logistic model: at d=35 the pre-screen runs 8
+/// segments per rung, at d=100 it runs 16.
+fn wide_model(d: usize) -> LinearSoftmaxModel {
+    let w = Matrix::from_fn(d, 3, |r, c| ((r * 3 + c) % 7) as f64 * 0.1 - 0.3);
     LinearSoftmaxModel::new(w, Vector(vec![0.1, -0.2, 0.05]))
+}
+
+/// An instance of [`wide_model`]'s dimension.
+fn wide_x0(d: usize) -> Vector {
+    Vector((0..d).map(|i| (i as f64 * 0.7).sin() * 0.3).collect())
 }
 
 /// Runs the pre-screened Algorithm 1 on `api` at `x0` and holds the
@@ -200,10 +205,8 @@ fn prescreened_is_exact_or_refused<M: PredictionApi>(
 fn prescreen_ends_degraded_apis_in_an_exact_answer_or_a_typed_refusal() {
     for (model, x0) in [
         (model(), x0()),
-        (
-            wide_model(),
-            Vector((0..35).map(|i| (i as f64 * 0.7).sin() * 0.3).collect()),
-        ),
+        (wide_model(35), wide_x0(35)),
+        (wide_model(100), wide_x0(100)),
     ] {
         let truth = model.local_model(x0.as_slice()).decision_features(0);
         for seed in 0..4 {
