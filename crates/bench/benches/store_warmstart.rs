@@ -11,7 +11,7 @@
 //!    identical workload for at least 5× fewer prediction queries — every
 //!    previously solved region costs one membership probe instead of an
 //!    Algorithm-1 solve (`1 + T·(d+1)` queries under the paper's halving,
-//!    about a quarter of that under the service's default pre-screen).
+//!    about a fifth of that under the service's default pre-screen).
 //! 2. **Zero Algorithm-1 solves after restart.** The restarted run's
 //!    `misses` counter must be exactly 0 — restart-without-requerying is
 //!    a correctness property of the store, not a statistical one.

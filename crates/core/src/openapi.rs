@@ -658,8 +658,8 @@ mod tests {
 
     #[test]
     fn prescreen_depth_grows_with_the_dimension_under_its_cap() {
-        // k(d) = min(max(8, ⌊(d+1)/6⌋), ⌊(d+1)/4⌋): the fixed 8 of smaller
-        // models up to d = 52, deeper beyond, never over half a rung.
+        // k(d) = min(max(8, ⌊(d+1)/6⌋), ⌊(d+1)/4⌋): 8 or the cap up to
+        // d = 52, deeper beyond, never over half a rung.
         let cases = [
             (2, 0),
             (3, 1),
@@ -671,10 +671,7 @@ mod tests {
         ];
         for (d, k) in cases {
             assert_eq!(EdgeSearch::PreScreen.segments(d), k, "d = {d}");
-            assert!(
-                2 * k <= (d + 1) / 2,
-                "d = {d}: the screen exceeds half a rung"
-            );
+            assert!(4 * k <= d + 1, "d = {d}: the screen exceeds half a rung");
             assert_eq!(EdgeSearch::Halving.segments(d), 0);
         }
     }

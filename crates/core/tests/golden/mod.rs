@@ -8,7 +8,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// FNV-1a over the exact bits of every number in `interpretation`.
-pub fn digest(interpretation: &Interpretation) -> u64 {
+fn digest(interpretation: &Interpretation) -> u64 {
     let mut hash = 0xCBF2_9CE4_8422_2325u64;
     let mut eat = |word: u64| {
         for b in word.to_le_bytes() {

@@ -34,7 +34,7 @@ pub struct ServiceConfig {
     pub cache: SharedCacheConfig,
     /// Configuration of the per-region Algorithm-1 solves. The default
     /// pre-screens each rung ([`EdgeSearch::PreScreen`]): the same exact
-    /// answers as the paper's halving, for about a quarter of its queries
+    /// answers as the paper's halving, for about a fifth of its queries
     /// at d = 196.
     pub openapi: OpenApiConfig,
     /// Master seed; each request's sampling RNG derives from
