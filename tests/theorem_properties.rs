@@ -5,9 +5,10 @@ use openapi_repro::prelude::*;
 use openapi_repro::{api, core, nn};
 
 use api::{LinearSoftmaxModel, LocalLinearModel, TwoRegionPlm};
-use core::equations::{solve_determined, EquationSystem, Probe};
+use core::equations::{solve_determined, ConsistencySolver, EquationSystem, Probe};
 use core::sampler::sample_many;
 use nn::{Activation, Plnn};
+use openapi_repro::linalg::solve::ConsistencyStrategy;
 use openapi_repro::linalg::Matrix;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -27,8 +28,82 @@ fn random_linear_model(d: usize, c: usize) -> impl Strategy<Value = LinearSoftma
         })
 }
 
+/// `Ω` for a d = 3 model: `x⁰` plus `4 + held_out` hypercube samples, so
+/// rows `4..` are the held-out equations `SquareThenCheck` sweeps.
+fn overdetermined_system(
+    model: &LinearSoftmaxModel,
+    x0: Vec<f64>,
+    held_out: usize,
+    seed: u64,
+) -> EquationSystem {
+    let x0 = Vector(x0);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut probes = vec![Probe::query(model, x0.clone())];
+    for x in sample_many(x0.as_slice(), 1.0, 4 + held_out, &mut rng) {
+        probes.push(Probe::query(model, x));
+    }
+    EquationSystem::new(probes)
+}
+
+const STRATEGIES: [ConsistencyStrategy; 2] = [
+    ConsistencyStrategy::SquareThenCheck,
+    ConsistencyStrategy::LeastSquares,
+];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Theorem 2's acceptance half: a system whose every equation comes
+    /// from one linear region is consistent under both strategies, and its
+    /// solution is that region's core parameters.
+    #[test]
+    fn constructed_consistent_overdetermined_system_is_accepted(
+        model in random_linear_model(3, 3),
+        x0 in prop::collection::vec(-2.0f64..2.0, 3),
+        held_out in 1usize..6,
+        seed in 0u64..1000,
+    ) {
+        let sys = overdetermined_system(&model, x0, held_out, seed);
+        let rtol = OpenApiConfig::default().rtol;
+        for strategy in STRATEGIES {
+            let solver = ConsistencySolver::new(&sys, strategy, rtol).unwrap();
+            for c_prime in 1..3 {
+                let v = solver.check(&sys.rhs(0, c_prime), c_prime).unwrap();
+                prop_assert!(
+                    v.consistent,
+                    "{:?} rejected contrast {}: residual {} > {}",
+                    strategy, c_prime, v.residual, v.threshold
+                );
+                let want_w = model.local().pairwise_decision_features(0, c_prime);
+                let want_b = model.local().pairwise_bias(0, c_prime);
+                prop_assert!(v.params.weights.l1_distance(&want_w).unwrap() < 1e-5);
+                prop_assert!((v.params.bias - want_b).abs() < 1e-5);
+            }
+        }
+    }
+
+    /// Theorem 2's rejection half: one held-out equation off its region's
+    /// plane makes the system inconsistent under both strategies.
+    #[test]
+    fn corrupted_equation_is_rejected(
+        model in random_linear_model(3, 3),
+        x0 in prop::collection::vec(-2.0f64..2.0, 3),
+        held_out in 1usize..6,
+        row in 0usize..6,
+        bump in prop::sample::select(vec![0.1f64, 1.0, 10.0]),
+        seed in 0u64..1000,
+    ) {
+        let sys = overdetermined_system(&model, x0, held_out, seed);
+        let mut rhs = sys.rhs(0, 1);
+        let scale = rhs.iter().fold(1.0f64, |s, v| s.max(v.abs()));
+        // Rows from `unknowns` on are held out, so SquareThenCheck sees it.
+        rhs[sys.unknowns() + row % held_out] += bump * scale;
+        for strategy in STRATEGIES {
+            let solver = ConsistencySolver::new(&sys, strategy, 1e-9).unwrap();
+            let v = solver.check(&rhs, 1).unwrap();
+            prop_assert!(!v.consistent, "{:?} accepted a corrupted system", strategy);
+        }
+    }
 
     /// Theorem 2 (single-region case): OpenAPI's first iteration recovers
     /// the exact decision features of ANY linear softmax model, for every
