@@ -3,9 +3,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use openapi_api::LinearSoftmaxModel;
-use openapi_core::equations::{ConsistencySolver, EquationSystem, Probe};
+use openapi_core::equations::{ConsistencySolver, ConsistencyStrategy, EquationSystem, Probe};
 use openapi_core::sampler::sample_many;
-use openapi_linalg::solve::ConsistencyStrategy;
 use openapi_linalg::{Matrix, Vector};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -30,15 +30,11 @@ fn per_instance_queries(instances: &[Vector]) -> u64 {
     api.queries()
 }
 
-fn batched_queries(instances: &[Vector], oracle: bool) -> (u64, usize, usize) {
+fn batched_queries(instances: &[Vector]) -> (u64, usize, usize) {
     let api = CountingApi::new(&plnn_panel().model);
     let mut batch = BatchInterpreter::new(BatchConfig::default());
     let mut rng = StdRng::seed_from_u64(1);
-    let out = if oracle {
-        batch.interpret_batch_oracle(&api, instances, CLASS, &mut rng)
-    } else {
-        batch.interpret_batch(&api, instances, CLASS, &mut rng)
-    };
+    let out = batch.interpret_batch(&api, instances, CLASS, &mut rng);
     (api.queries(), out.stats.hits, out.stats.regions)
 }
 
@@ -50,16 +46,10 @@ fn bench_batch_throughput(c: &mut Criterion) {
     );
 
     let solo = per_instance_queries(&instances);
-    let (probed, hits, regions) = batched_queries(&instances, false);
-    let (oracle, oracle_hits, _) = batched_queries(&instances, true);
+    let (probed, hits, regions) = batched_queries(&instances);
     println!("per-instance OpenAPI : {solo} queries");
     println!("batched (black-box)  : {probed} queries ({hits} hits over {regions} regions)");
-    println!("batched (oracle key) : {oracle} queries ({oracle_hits} hits)");
-    println!(
-        "query reduction      : {:.1}× (black-box), {:.1}× (oracle)",
-        solo as f64 / probed as f64,
-        solo as f64 / oracle as f64
-    );
+    println!("query reduction      : {:.1}×", solo as f64 / probed as f64);
     assert!(
         probed * 5 <= solo,
         "batch layer must cut queries ≥5×: {probed} vs {solo}"

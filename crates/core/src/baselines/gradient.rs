@@ -7,6 +7,7 @@
 
 use crate::decision::Interpretation;
 use crate::error::InterpretError;
+use crate::openapi::validate_request;
 use openapi_api::GradientOracle;
 use openapi_linalg::Vector;
 
@@ -30,22 +31,6 @@ impl ScoreKind {
     }
 }
 
-fn validate<M: GradientOracle>(model: &M, x0: &Vector, class: usize) -> Result<(), InterpretError> {
-    if x0.len() != model.dim() {
-        return Err(InterpretError::DimensionMismatch {
-            expected: model.dim(),
-            found: x0.len(),
-        });
-    }
-    if class >= model.num_classes() {
-        return Err(InterpretError::ClassOutOfRange {
-            class,
-            num_classes: model.num_classes(),
-        });
-    }
-    Ok(())
-}
-
 /// Saliency Maps [Simonyan et al.]: the **absolute value** of the score
 /// gradient. Unsigned — the paper's Figure 3 discussion attributes its weak
 /// effectiveness to exactly this signlessness.
@@ -66,7 +51,7 @@ impl SaliencyMaps {
         x0: &Vector,
         class: usize,
     ) -> Result<Interpretation, InterpretError> {
-        validate(model, x0, class)?;
+        validate_request(model, x0.as_slice(), class)?;
         let g = self.score.gradient(model, x0.as_slice(), class);
         Ok(Interpretation::attribution_only(class, g.abs()))
     }
@@ -91,7 +76,7 @@ impl GradientInput {
         x0: &Vector,
         class: usize,
     ) -> Result<Interpretation, InterpretError> {
-        validate(model, x0, class)?;
+        validate_request(model, x0.as_slice(), class)?;
         let g = self.score.gradient(model, x0.as_slice(), class);
         let attribution = g.hadamard(x0).expect("validated dimensions");
         Ok(Interpretation::attribution_only(class, attribution))
@@ -133,7 +118,7 @@ impl IntegratedGradients {
         x0: &Vector,
         class: usize,
     ) -> Result<Interpretation, InterpretError> {
-        validate(model, x0, class)?;
+        validate_request(model, x0.as_slice(), class)?;
         assert!(
             self.steps > 0,
             "IntegratedGradients needs at least one step"

@@ -13,6 +13,7 @@
 use crate::decision::{Interpretation, PairwiseCoreParams};
 use crate::equations::{EquationSystem, Probe};
 use crate::error::InterpretError;
+use crate::openapi::validate_request;
 use crate::sampler::sample_many;
 use openapi_api::PredictionApi;
 use openapi_linalg::{LuFactor, Matrix, QrFactor, Vector};
@@ -116,25 +117,8 @@ impl LimeInterpreter {
         class: usize,
         rng: &mut R,
     ) -> Result<Interpretation, InterpretError> {
-        let d = api.dim();
-        let c_total = api.num_classes();
-        if x0.len() != d {
-            return Err(InterpretError::DimensionMismatch {
-                expected: d,
-                found: x0.len(),
-            });
-        }
-        if c_total < 2 {
-            return Err(InterpretError::TooFewClasses {
-                num_classes: c_total,
-            });
-        }
-        if class >= c_total {
-            return Err(InterpretError::ClassOutOfRange {
-                class,
-                num_classes: c_total,
-            });
-        }
+        validate_request(api, x0.as_slice(), class)?;
+        let (d, c_total) = (api.dim(), api.num_classes());
 
         let n = self.config.resolved_samples(d);
         let mut probes = Vec::with_capacity(n + 1);

@@ -9,6 +9,7 @@
 
 use crate::decision::{Interpretation, PairwiseCoreParams};
 use crate::error::InterpretError;
+use crate::openapi::validate_request;
 use crate::sampler::axis_pairs;
 use openapi_api::{log_ratio, PredictionApi};
 use openapi_linalg::Vector;
@@ -61,25 +62,8 @@ impl ZooInterpreter {
         x0: &Vector,
         class: usize,
     ) -> Result<Interpretation, InterpretError> {
-        let d = api.dim();
-        let c_total = api.num_classes();
-        if x0.len() != d {
-            return Err(InterpretError::DimensionMismatch {
-                expected: d,
-                found: x0.len(),
-            });
-        }
-        if c_total < 2 {
-            return Err(InterpretError::TooFewClasses {
-                num_classes: c_total,
-            });
-        }
-        if class >= c_total {
-            return Err(InterpretError::ClassOutOfRange {
-                class,
-                num_classes: c_total,
-            });
-        }
+        validate_request(api, x0.as_slice(), class)?;
+        let (d, c_total) = (api.dim(), api.num_classes());
 
         let h = self.config.probe_distance;
         let center = api.predict(x0.as_slice());

@@ -31,12 +31,6 @@
 //!   the same region (e.g. a borderline membership tolerance) merge into one
 //!   entry and all their callers receive bit-identical interpretations.
 //!
-//! For white-box *test* models, [`BatchInterpreter::interpret_batch_oracle`]
-//! keys the cache on [`GroundTruthOracle::region_id`] instead — hits then
-//! issue **zero** prediction queries, the lower bound a production service
-//! colocated with its model could reach. The oracle variant exists for
-//! evaluation and tests; the black-box variant is the deployable one.
-//!
 //! The cache itself lives in [`crate::cache::RegionCache`] — the sharded
 //! concurrent tier in `openapi-serve` wraps the same structure, so both
 //! share one membership-probe code path. [`BatchStats`] exposes the
@@ -46,8 +40,8 @@ use crate::cache::{CachedRegion, ProbeRef, RegionCache, RegionCacheConfig};
 use crate::decision::{Interpretation, RegionFingerprint};
 use crate::equations::Probe;
 use crate::error::InterpretError;
-use crate::openapi::{OpenApiConfig, OpenApiInterpreter};
-use openapi_api::{GroundTruthOracle, PredictionApi, RegionId};
+use crate::openapi::{validate_request, OpenApiConfig, OpenApiInterpreter};
+use openapi_api::PredictionApi;
 use openapi_linalg::Vector;
 use rand::Rng;
 use std::sync::Arc;
@@ -125,8 +119,7 @@ pub struct BatchItem {
     pub fingerprint: RegionFingerprint,
     /// Whether the result came from cache.
     pub cache_hit: bool,
-    /// Prediction queries spent on this instance (hits: 1 on the black-box
-    /// path, 0 on the oracle path).
+    /// Prediction queries spent on this instance (1 for a hit).
     pub queries: usize,
 }
 
@@ -245,34 +238,29 @@ impl BatchInterpreter {
         class: usize,
         rng: &mut R,
     ) -> BatchOutcome {
-        if let Some(outcome) = self.reject_invalid_class(api, instances.len(), class) {
-            return outcome;
-        }
         let mut stats = new_stats(instances.len());
-        let dim = api.dim();
 
-        // Phase 1: probe every well-dimensioned instance (1 query each;
-        // probes consume no solver RNG, so fronting them leaves the
-        // per-miss RNG stream untouched).
-        let mut probes: Vec<Option<Probe>> = Vec::with_capacity(instances.len());
-        for x in instances {
-            if x.len() == dim {
-                probes.push(Some(Probe::query(api, x.clone())));
+        // Phase 1: probe every valid instance (1 query each; invalid ones
+        // spend none). Probes consume no solver RNG, so fronting them
+        // leaves the per-miss RNG stream untouched.
+        let probes: Vec<Result<Probe, InterpretError>> = instances
+            .iter()
+            .map(|x| {
+                validate_request(api, x.as_slice(), class)?;
                 stats.queries += 1;
-            } else {
-                probes.push(None);
-            }
-        }
+                Ok(Probe::query(api, x.clone()))
+            })
+            .collect();
 
         // Phase 2: one blocked pass resolves the whole batch against the
         // cache as it stood when the batch arrived.
-        let watermark = self.cache.group_watermark(class, dim);
+        let watermark = self.cache.group_watermark(class, api.dim());
         let mut hits: Vec<Option<CachedRegion>> = vec![None; instances.len()];
         {
             let mut refs = Vec::with_capacity(instances.len());
             let mut owner = Vec::with_capacity(instances.len());
             for (i, probe) in probes.iter().enumerate() {
-                if let Some(probe) = probe {
+                if let Ok(probe) = probe {
                     refs.push(ProbeRef {
                         x: &instances[i],
                         probs: probe.probs.as_slice(),
@@ -294,14 +282,14 @@ impl BatchInterpreter {
         // watermark, so the sweep sees the same cache state the sequential
         // formulation would at this instance.
         let mut results = Vec::with_capacity(instances.len());
-        for (i, x) in instances.iter().enumerate() {
-            let Some(probe) = probes[i].take() else {
-                stats.failures += 1;
-                results.push(Err(InterpretError::DimensionMismatch {
-                    expected: dim,
-                    found: x.len(),
-                }));
-                continue;
+        for (i, (x, probe)) in instances.iter().zip(probes).enumerate() {
+            let probe = match probe {
+                Ok(probe) => probe,
+                Err(e) => {
+                    stats.failures += 1;
+                    results.push(Err(e));
+                    continue;
+                }
             };
             let hit = hits[i].take().or_else(|| {
                 self.cache
@@ -327,7 +315,7 @@ impl BatchInterpreter {
                         // 1, so only the sampling rounds add here.
                         stats.queries += solved.queries - 1;
                         stats.misses += 1;
-                        Ok(self.admit(solved.interpretation, None, solved.queries))
+                        Ok(self.admit(solved.interpretation, solved.queries))
                     }
                     Err(e) => {
                         stats.queries += queries_consumed(&e);
@@ -342,104 +330,12 @@ impl BatchInterpreter {
         BatchOutcome { results, stats }
     }
 
-    /// [`BatchInterpreter::interpret_batch`] with the oracle fast path:
-    /// cache lookups key on [`GroundTruthOracle::region_id`], so hits issue
-    /// **zero** prediction queries. Evaluation/test use only — a deployed
-    /// interpreter has no oracle (the black-box path exists for that).
-    pub fn interpret_batch_oracle<M: GroundTruthOracle, R: Rng>(
-        &mut self,
-        api: &M,
-        instances: &[Vector],
-        class: usize,
-        rng: &mut R,
-    ) -> BatchOutcome {
-        if let Some(outcome) = self.reject_invalid_class(api, instances.len(), class) {
-            return outcome;
-        }
-        let mut stats = new_stats(instances.len());
-        let mut results = Vec::with_capacity(instances.len());
-        for x in instances {
-            let result = self.interpret_one_oracle(api, x, class, rng, &mut stats);
-            if result.is_err() {
-                stats.failures += 1;
-            }
-            results.push(result);
-        }
-        self.finish(class, &mut stats);
-        BatchOutcome { results, stats }
-    }
-
-    /// Class validation shared by both batch entry points: a bad class
-    /// fails every instance identically without spending a single query.
-    fn reject_invalid_class<M: PredictionApi>(
-        &mut self,
-        api: &M,
-        instances: usize,
-        class: usize,
-    ) -> Option<BatchOutcome> {
-        let error = match crate::openapi::validate_class(api.num_classes(), class) {
-            Ok(()) => return None,
-            Err(e) => e,
-        };
-        let mut stats = new_stats(instances);
-        stats.failures = instances;
-        self.lifetime.absorb(&stats);
-        self.lifetime.regions = self.cache.len();
-        Some(BatchOutcome {
-            results: (0..instances).map(|_| Err(error.clone())).collect(),
-            stats,
-        })
-    }
-
-    /// Oracle path: region id decides membership; hits cost zero queries.
-    fn interpret_one_oracle<M: GroundTruthOracle, R: Rng>(
-        &mut self,
-        api: &M,
-        x: &Vector,
-        class: usize,
-        rng: &mut R,
-        stats: &mut BatchStats,
-    ) -> Result<BatchItem, InterpretError> {
-        if x.len() != api.dim() {
-            return Err(InterpretError::DimensionMismatch {
-                expected: api.dim(),
-                found: x.len(),
-            });
-        }
-        let region = api.region_id(x.as_slice());
-        if let Some(hit) = self.cache.lookup_region(class, &region) {
-            stats.hits += 1;
-            return Ok(BatchItem {
-                interpretation: hit.interpretation,
-                fingerprint: hit.fingerprint,
-                cache_hit: true,
-                queries: 0,
-            });
-        }
-        let solved = self
-            .interpreter
-            .interpret(api, x, class, rng)
-            .inspect_err(|e| {
-                stats.queries += 1 + queries_consumed(e);
-            })?;
-        stats.queries += solved.queries;
-        stats.misses += 1;
-        Ok(self.admit(solved.interpretation, Some(region), solved.queries))
-    }
-
     /// Admits a freshly solved region into the cache (see
     /// [`RegionCache::insert`] for the merge/collision semantics) and builds
     /// the miss's [`BatchItem`] from the entry that ends up cached.
-    fn admit(
-        &mut self,
-        interpretation: Interpretation,
-        region: Option<RegionId>,
-        queries: usize,
-    ) -> BatchItem {
+    fn admit(&mut self, interpretation: Interpretation, queries: usize) -> BatchItem {
         let fingerprint = interpretation.fingerprint(self.config.fingerprint_digits);
-        let (cached, _) = self
-            .cache
-            .insert(fingerprint, Arc::new(interpretation), region);
+        let (cached, _) = self.cache.insert(fingerprint, Arc::new(interpretation));
         BatchItem {
             interpretation: cached.interpretation,
             fingerprint: cached.fingerprint,
@@ -478,7 +374,9 @@ pub fn queries_consumed(error: &InterpretError) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use openapi_api::{CountingApi, LinearSoftmaxModel, LocalLinearModel, TwoRegionPlm};
+    use openapi_api::{
+        CountingApi, GroundTruthOracle, LinearSoftmaxModel, LocalLinearModel, TwoRegionPlm,
+    };
     use openapi_linalg::Matrix;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -570,29 +468,6 @@ mod tests {
         assert_eq!(out.stats.queries, 49 + miss_cost);
         // ≥ 5× fewer queries than 50 per-instance runs (each ≥ miss_cost).
         assert!(out.stats.queries * 5 <= 50 * miss_cost);
-    }
-
-    #[test]
-    fn oracle_hits_issue_zero_queries() {
-        let api = CountingApi::new(two_region_model());
-        let instances = clustered_instances(12);
-        let mut batch = BatchInterpreter::default();
-        let mut rng = StdRng::seed_from_u64(4);
-        // Warm the cache: first batch pays two solves.
-        let warm = batch.interpret_batch_oracle(&api, &instances, 0, &mut rng);
-        assert_eq!(warm.stats.misses, 2);
-        let after_warm = api.queries();
-        // Second batch over the same regions: all hits, zero queries.
-        let hot = batch.interpret_batch_oracle(&api, &instances, 0, &mut rng);
-        assert_eq!(hot.stats.hits, 12);
-        assert_eq!(hot.stats.misses, 0);
-        assert_eq!(hot.stats.queries, 0);
-        assert_eq!(api.queries(), after_warm, "cache hits must not query");
-        for r in &hot.results {
-            let item = r.as_ref().unwrap();
-            assert!(item.cache_hit);
-            assert_eq!(item.queries, 0);
-        }
     }
 
     #[test]
@@ -761,6 +636,40 @@ mod tests {
         assert!(out.results[1].is_ok());
         assert_eq!(out.stats.failures, 1);
         assert_eq!(out.interpretations().count(), 1);
+    }
+
+    #[test]
+    fn invalid_instances_fail_without_queries() {
+        let api = CountingApi::new(two_region_model());
+        let mut batch = BatchInterpreter::default();
+        let mut rng = StdRng::seed_from_u64(11);
+        let instances = [
+            Vector(vec![f64::NAN, 0.1]),
+            Vector(vec![0.2, 0.1]),
+            Vector(vec![0.3, f64::NEG_INFINITY]),
+        ];
+        let out = batch.interpret_batch(&api, &instances, 0, &mut rng);
+        assert_eq!(
+            out.results[0].as_ref().unwrap_err(),
+            &InterpretError::NonFiniteInstance { index: 0 }
+        );
+        assert!(out.results[1].is_ok());
+        assert_eq!(
+            out.results[2].as_ref().unwrap_err(),
+            &InterpretError::NonFiniteInstance { index: 1 }
+        );
+        assert_eq!(out.stats.failures, 2);
+        assert_eq!(out.stats.queries as u64, api.queries());
+        assert_eq!(out.stats.queries, out.results[1].as_ref().unwrap().queries);
+        // A class the model lacks fails every instance, query-free.
+        let before = api.queries();
+        let out = batch.interpret_batch(&api, &instances[1..2], 7, &mut rng);
+        assert!(matches!(
+            out.results[0],
+            Err(InterpretError::ClassOutOfRange { .. })
+        ));
+        assert_eq!((out.stats.failures, out.stats.queries), (1, 0));
+        assert_eq!(api.queries(), before);
     }
 
     #[test]

@@ -10,15 +10,12 @@
 //! in-memory image is an unbounded `RegionCache`) all look up and merge
 //! regions here.
 //!
-//! Two lookup modes, both sound by Theorem 2:
-//!
-//! * [`RegionCache::lookup_probe`] — black-box: a cached region's parameters
-//!   either explain the probed prediction at every contrast
-//!   ([`Interpretation::explains_probe`]), in which case the probe lies in
-//!   that region and the cached interpretation is *its* interpretation, or
-//!   they don't and the scan moves on.
-//! * [`RegionCache::lookup_region`] — white-box oracle fast path keyed on
-//!   [`RegionId`], for evaluation and tests (zero queries per hit).
+//! Lookup is black-box and sound by Theorem 2
+//! ([`RegionCache::lookup_probe`]): a cached region's parameters either
+//! explain the probed prediction at every contrast
+//! ([`Interpretation::explains_probe`]), in which case the probe lies in
+//! that region and the cached interpretation is *its* interpretation, or
+//! they don't and the scan moves on.
 //!
 //! # The blocked membership scan
 //!
@@ -49,7 +46,6 @@
 //! in exactly the order they were admitted.
 
 use crate::decision::{Interpretation, RegionFingerprint};
-use openapi_api::RegionId;
 use openapi_linalg::kernel::{default_backend, Backend, RowGroup, RowMatrix};
 use openapi_linalg::Vector;
 use openapi_sync::atomic::{AtomicBool, Ordering};
@@ -238,8 +234,6 @@ pub struct RegionCache {
     blocks: HashMap<(usize, usize), Vec<Page>>,
     /// `(class, fingerprint) → entries index` — merges duplicate solves.
     by_fingerprint: HashMap<(usize, RegionFingerprint), usize>,
-    /// `(class, oracle region id) → entries index` — oracle fast path only.
-    by_region_id: HashMap<(usize, RegionId), usize>,
     /// CLOCK hand: next eviction candidate.
     hand: usize,
     evictions: u64,
@@ -287,7 +281,6 @@ impl RegionCache {
         self.entries.clear();
         self.blocks.clear();
         self.by_fingerprint.clear();
-        self.by_region_id.clear();
         self.hand = 0;
     }
 
@@ -543,12 +536,6 @@ impl RegionCache {
         e.region()
     }
 
-    /// Oracle fast-path lookup keyed on [`RegionId`].
-    pub fn lookup_region(&self, class: usize, region: &RegionId) -> Option<CachedRegion> {
-        let &index = self.by_region_id.get(&(class, region.clone()))?;
-        Some(self.serve(index))
-    }
-
     /// Whether `(class, fingerprint)` keys a canonical entry (a collided,
     /// un-indexed entry does not count).
     pub fn contains(&self, class: usize, fingerprint: RegionFingerprint) -> bool {
@@ -573,7 +560,6 @@ impl RegionCache {
         &mut self,
         fingerprint: RegionFingerprint,
         interpretation: Arc<Interpretation>,
-        region: Option<RegionId>,
     ) -> (CachedRegion, bool) {
         let class = interpretation.class;
         let tol = self.config.membership_rtol;
@@ -597,9 +583,6 @@ impl RegionCache {
                 (i, true)
             }
         };
-        if let Some(region) = region {
-            self.by_region_id.insert((class, region), index);
-        }
         (self.entries[index].region(), fresh)
     }
 
@@ -754,8 +737,8 @@ impl RegionCache {
 
     /// Removes the slot at `index`, keeping the survivors in insertion
     /// order: the victim's rows are unpacked, and every index past it —
-    /// in both maps, the packed groups and the clock hand — shifts down
-    /// by one.
+    /// in the fingerprint map, the packed groups and the clock hand —
+    /// shifts down by one.
     fn remove_slot(&mut self, index: usize) {
         if let Some(bref) = self.entries[index].block {
             self.unregister_slot(bref);
@@ -767,7 +750,6 @@ impl RegionCache {
             }
         }
         self.by_fingerprint.retain(|_, v| survives(v, index));
-        self.by_region_id.retain(|_, v| survives(v, index));
         survives(&mut self.hand, index);
     }
 }
@@ -839,13 +821,17 @@ mod tests {
     }
 
     /// Inserts under the interpretation's own 6-digit fingerprint.
-    fn insert(
-        cache: &mut RegionCache,
-        i: Arc<Interpretation>,
-        region: Option<RegionId>,
-    ) -> CachedRegion {
+    fn insert(cache: &mut RegionCache, i: Arc<Interpretation>) -> CachedRegion {
         let fingerprint = i.fingerprint(6);
-        cache.insert(fingerprint, i, region).0
+        cache.insert(fingerprint, i).0
+    }
+
+    /// Looks up `interp(class, w)` through the probe scan at `x = 0.4`
+    /// (which also sets the entry's CLOCK reference bit on a hit).
+    fn touch(cache: &RegionCache, class: usize, w: f64) -> Option<CachedRegion> {
+        let x = Vector(vec![0.4]);
+        let probs = consistent_probs(&interp(class, w), &x);
+        cache.lookup_probe(&x, &probs, class)
     }
 
     fn bounded(capacity: usize) -> RegionCache {
@@ -859,7 +845,7 @@ mod tests {
     fn unbounded_cache_never_evicts_and_preserves_order() {
         let mut cache = RegionCache::default();
         for i in 0..100 {
-            insert(&mut cache, interp(0, i as f64), None);
+            insert(&mut cache, interp(0, i as f64));
         }
         assert_eq!(cache.len(), 100);
         assert_eq!(cache.evictions(), 0);
@@ -874,11 +860,7 @@ mod tests {
     fn capacity_bound_is_enforced_by_clock_eviction() {
         let mut cache = bounded(4);
         for i in 0..20 {
-            insert(
-                &mut cache,
-                interp(0, i as f64),
-                Some(RegionId::from_index(i)),
-            );
+            insert(&mut cache, interp(0, i as f64));
             assert!(cache.len() <= 4, "capacity bound violated at insert {i}");
         }
         assert_eq!(cache.len(), 4);
@@ -888,54 +870,49 @@ mod tests {
     #[test]
     fn recently_looked_up_entries_survive_the_sweep() {
         let mut cache = bounded(3);
-        for i in 0..3 {
-            insert(
-                &mut cache,
-                interp(0, i as f64),
-                Some(RegionId::from_index(i)),
-            );
+        for w in [1.0, 2.0, 3.0] {
+            insert(&mut cache, interp(0, w));
         }
-        // Sweep once so every slot's initial reference bit is cleared.
-        insert(
-            &mut cache,
-            interp(0, 100.0),
-            Some(RegionId::from_index(100)),
-        );
-        // Touch region 100; the next insert must evict something else.
-        assert!(cache.lookup_region(0, &RegionId::from_index(100)).is_some());
-        insert(
-            &mut cache,
-            interp(0, 101.0),
-            Some(RegionId::from_index(101)),
-        );
+        // The fourth insert sweeps every initial reference bit clear and
+        // evicts region 1; the hand now rests on region 2.
+        insert(&mut cache, interp(0, 4.0));
+        assert!(touch(&cache, 0, 1.0).is_none());
+        // Touch region 2: the next insert must pass it over and evict
+        // region 3, the first unreferenced entry after it.
+        assert!(touch(&cache, 0, 2.0).is_some());
+        insert(&mut cache, interp(0, 5.0));
         assert!(
-            cache.lookup_region(0, &RegionId::from_index(100)).is_some(),
+            touch(&cache, 0, 2.0).is_some(),
             "referenced entry must get a second chance"
         );
+        assert!(touch(&cache, 0, 3.0).is_none());
+        assert_eq!(cache.evictions(), 2);
     }
 
     #[test]
     fn eviction_repairs_the_index_maps() {
         let mut cache = bounded(2);
-        insert(&mut cache, interp(0, 1.0), Some(RegionId::from_index(1)));
-        insert(&mut cache, interp(0, 2.0), Some(RegionId::from_index(2)));
-        // Force evictions and verify every surviving oracle key still
-        // resolves to the entry carrying its own parameters.
+        insert(&mut cache, interp(0, 1.0));
+        insert(&mut cache, interp(0, 2.0));
+        // Force evictions and verify every surviving fingerprint key still
+        // resolves to the entry carrying its own parameters: a re-insert
+        // merges into it.
         for i in 3..40 {
-            insert(
-                &mut cache,
-                interp(0, i as f64),
-                Some(RegionId::from_index(i)),
-            );
+            insert(&mut cache, interp(0, i as f64));
             for j in 1..=i {
-                if let Some(hit) = cache.lookup_region(0, &RegionId::from_index(j)) {
+                let again = interp(0, j as f64);
+                let key = again.fingerprint(6);
+                if cache.contains(0, key) {
+                    let (hit, fresh) = cache.insert(key, again);
+                    assert!(!fresh, "key {j} did not merge");
                     assert_eq!(
                         hit.interpretation.pairwise[0].weights[0], j as f64,
-                        "oracle key {j} resolved to the wrong entry"
+                        "key {j} resolved to the wrong entry"
                     );
                 }
             }
         }
+        assert_eq!(cache.len(), 2);
     }
 
     #[test]
@@ -943,7 +920,7 @@ mod tests {
         let mut cache = bounded(8);
         let x = Vector(vec![0.4]);
         for i in 0..50 {
-            insert(&mut cache, interp(0, i as f64 + 0.5), None);
+            insert(&mut cache, interp(0, i as f64 + 0.5));
             // Every probe that hits must return exactly its own region —
             // the packed blocks track every eviction and swap.
             for j in 0..=i {
@@ -964,11 +941,7 @@ mod tests {
         let victim = interp(0, 3.0);
         let fingerprint = victim.fingerprint(6);
         for i in 0..8 {
-            insert(
-                &mut cache,
-                interp(0, i as f64),
-                Some(RegionId::from_index(i)),
-            );
+            insert(&mut cache, interp(0, i as f64));
         }
         assert_eq!(cache.evict_fingerprint(0, fingerprint), 1);
         assert_eq!(cache.len(), 7);
@@ -978,7 +951,7 @@ mod tests {
         // exact parameters through the repaired packed blocks and maps.
         let probs = consistent_probs(&victim, &x);
         assert!(cache.lookup_probe(&x, &probs, 0).is_none());
-        assert!(cache.lookup_region(0, &RegionId::from_index(3)).is_none());
+        assert!(!cache.contains(0, fingerprint));
         for j in (0..8).filter(|&j| j != 3) {
             let target = interp(0, j as f64);
             let probs = consistent_probs(&target, &x);
@@ -989,7 +962,7 @@ mod tests {
         assert_eq!(cache.evict_fingerprint(0, fingerprint), 0);
         // Class-scoped: another class's entry under the same fingerprint
         // value is untouched.
-        insert(&mut cache, interp(1, 3.0), None);
+        insert(&mut cache, interp(1, 3.0));
         let other = interp(1, 3.0).fingerprint(6);
         assert_eq!(cache.evict_fingerprint(0, other), 0);
     }
@@ -999,7 +972,7 @@ mod tests {
         let mut cache = RegionCache::default();
         let x = Vector(vec![-0.3]);
         for i in 0..30 {
-            insert(&mut cache, interp(0, i as f64 + 0.25), None);
+            insert(&mut cache, interp(0, i as f64 + 0.25));
         }
         let target = interp(0, 17.25);
         let probs = consistent_probs(&target, &x);
@@ -1015,7 +988,7 @@ mod tests {
         let mut cache = RegionCache::default();
         let xs: Vec<Vector> = (0..6).map(|i| Vector(vec![0.1 * i as f64 - 0.2])).collect();
         for i in 0..200 {
-            insert(&mut cache, interp(0, i as f64 + 0.5), None);
+            insert(&mut cache, interp(0, i as f64 + 0.5));
         }
         let targets: Vec<_> = [3usize, 60, 199, 123, 0, 77]
             .iter()
@@ -1051,7 +1024,7 @@ mod tests {
         let mut cache = RegionCache::default();
         let x = Vector(vec![0.4]);
         for i in 0..300 {
-            insert(&mut cache, interp(0, i as f64 + 0.5), None);
+            insert(&mut cache, interp(0, i as f64 + 0.5));
         }
         // Empty the first page entirely and punch a hole in the second.
         for i in (0..128).chain([200]) {
@@ -1076,7 +1049,7 @@ mod tests {
     fn delta_scans_see_only_groups_past_the_watermark() {
         let mut cache = RegionCache::default();
         let x = Vector(vec![0.9]);
-        insert(&mut cache, interp(0, 1.0), None);
+        insert(&mut cache, interp(0, 1.0));
         let watermark = cache.group_watermark(0, 1);
         assert_eq!(watermark, 1);
         let old = interp(0, 1.0);
@@ -1087,7 +1060,7 @@ mod tests {
             .is_none());
         // ...while a region admitted after the watermark is found.
         let fresh = interp(0, 2.0);
-        insert(&mut cache, Arc::clone(&fresh), None);
+        insert(&mut cache, Arc::clone(&fresh));
         let fresh_probs = consistent_probs(&fresh, &x);
         let hit = cache
             .lookup_probe_from(&x, &fresh_probs, 0, watermark)
@@ -1098,8 +1071,8 @@ mod tests {
     #[test]
     fn duplicate_solves_merge_to_the_first_entry() {
         let mut cache = RegionCache::default();
-        let a = insert(&mut cache, interp(0, 5.0), None);
-        let b = insert(&mut cache, interp(0, 5.0), None);
+        let a = insert(&mut cache, interp(0, 5.0));
+        let b = insert(&mut cache, interp(0, 5.0));
         assert_eq!(cache.len(), 1);
         assert_eq!(a.fingerprint, b.fingerprint);
         assert_eq!(a.interpretation, b.interpretation);
@@ -1111,11 +1084,11 @@ mod tests {
     fn a_re_solved_collided_region_merges_instead_of_duplicating() {
         let mut cache = RegionCache::default();
         let key = RegionFingerprint(7);
-        let (a, a_fresh) = cache.insert(key, interp(0, 1.0), None);
+        let (a, a_fresh) = cache.insert(key, interp(0, 1.0));
         // Same key, genuinely different parameters: a second entry.
-        let (b, b_fresh) = cache.insert(key, interp(0, 5.0), None);
+        let (b, b_fresh) = cache.insert(key, interp(0, 5.0));
         // B re-solved: merges into the agreeing collided entry.
-        let (again, again_fresh) = cache.insert(key, interp(0, 5.0), None);
+        let (again, again_fresh) = cache.insert(key, interp(0, 5.0));
         assert!(a_fresh && b_fresh && !again_fresh);
         assert_eq!(cache.len(), 2);
         assert_ne!(a, b);
@@ -1128,7 +1101,7 @@ mod tests {
     fn removal_keeps_insertion_order() {
         let mut cache = RegionCache::default();
         for i in 0..6 {
-            insert(&mut cache, interp(0, i as f64), None);
+            insert(&mut cache, interp(0, i as f64));
         }
         assert_eq!(cache.evict_fingerprint(0, interp(0, 2.0).fingerprint(6)), 1);
         let order: Vec<f64> = cache
@@ -1141,8 +1114,8 @@ mod tests {
     #[test]
     fn classes_are_disjoint() {
         let mut cache = RegionCache::default();
-        insert(&mut cache, interp(0, 1.0), None);
-        insert(&mut cache, interp(1, 1.0), None);
+        insert(&mut cache, interp(0, 1.0));
+        insert(&mut cache, interp(1, 1.0));
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.class_len(0), 1);
         assert_eq!(cache.class_len(1), 1);
@@ -1152,7 +1125,7 @@ mod tests {
     fn clear_empties_but_keeps_eviction_count() {
         let mut cache = bounded(2);
         for i in 0..5 {
-            insert(&mut cache, interp(0, i as f64), None);
+            insert(&mut cache, interp(0, i as f64));
         }
         let evicted = cache.evictions();
         assert!(evicted > 0);
@@ -1160,6 +1133,6 @@ mod tests {
         assert!(cache.is_empty());
         assert_eq!(cache.evictions(), evicted);
         assert_eq!(cache.group_watermark(0, 1), 0);
-        assert!(cache.lookup_region(0, &RegionId::from_index(0)).is_none());
+        assert!(touch(&cache, 0, 4.0).is_none());
     }
 }

@@ -14,10 +14,15 @@
 //! of the full system) and then checks every contrast with cheap
 //! back-substitutions. For `C = 10`, that is a 9× saving over re-factoring
 //! per contrast, without changing any semantics of Algorithm 1.
+//!
+//! [`ConsistencySolver::check`] is the workspace's one Theorem-2
+//! consistency check: Algorithm 1 accepts a rung on its verdicts, and its
+//! held-out sweep runs on the blocked kernel
+//! ([`Backend::residual_inf`]).
 
 use crate::decision::PairwiseCoreParams;
 use openapi_api::{log_ratio, PredictionApi};
-use openapi_linalg::solve::ConsistencyStrategy;
+use openapi_linalg::kernel::{Backend, BlockedBackend};
 use openapi_linalg::{LinalgError, LuFactor, Matrix, QrFactor, Vector};
 
 /// One queried instance and the API's prediction for it.
@@ -114,6 +119,23 @@ fn unpack(solution: Vector, c_prime: usize) -> PairwiseCoreParams {
     }
 }
 
+/// Strategy for deciding whether an overdetermined system has a solution.
+///
+/// Both appear in the paper's construction: Theorem 2 argues through the
+/// square subsystems `Θ_i` (the `SquareThenCheck` strategy), while "`Ω` has
+/// at least one solution" is literally a least-squares residual test
+/// (`LeastSquares`). They agree in exact arithmetic; the solver ablation
+/// compares their speed and floating-point robustness.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ConsistencyStrategy {
+    /// LU-solve the first `n` equations, then test the residuals of the
+    /// remaining rows. `O(n³/3)` — the fast path.
+    SquareThenCheck,
+    /// QR on the full system; consistency is a small least-squares residual.
+    /// ~4× the flops, but immune to an ill-conditioned leading block.
+    LeastSquares,
+}
+
 /// Verdict for one contrast from [`ConsistencySolver::check`].
 #[derive(Debug, Clone)]
 pub struct ContrastVerdict {
@@ -177,7 +199,10 @@ impl ConsistencySolver {
         })
     }
 
-    /// Checks one contrast's right-hand side for consistency.
+    /// Checks one contrast's right-hand side for consistency: the residual
+    /// is compared against `rtol · max(1, ‖rhs‖∞)` — the right-hand sides
+    /// are log-probability ratios, and the `max(1, ·)` floor keeps the test
+    /// meaningful when predictions are nearly uniform.
     ///
     /// # Errors
     /// [`LinalgError::RankDeficient`] on the QR path when the factored
@@ -186,26 +211,18 @@ impl ConsistencySolver {
     /// # Panics
     /// Panics when `rhs.len() != rows`.
     pub fn check(&self, rhs: &[f64], c_prime: usize) -> Result<ContrastVerdict, LinalgError> {
-        let (m, n) = (self.coeffs.rows(), self.coeffs.cols());
-        assert_eq!(rhs.len(), m, "rhs length mismatch");
+        let n = self.coeffs.cols();
+        assert_eq!(rhs.len(), self.coeffs.rows(), "rhs length mismatch");
         let bscale = rhs.iter().fold(0.0f64, |s, v| s.max(v.abs())).max(1.0);
         let threshold = self.rtol * bscale;
         match self.strategy {
             ConsistencyStrategy::SquareThenCheck => {
                 let lu = self.lu.as_ref().expect("strategy invariant");
                 let solution = lu.solve(&rhs[..n])?;
-                let mut worst = 0.0f64;
-                #[allow(clippy::needless_range_loop)] // held-out-row sweep reads clearest indexed
-                for r in n..m {
-                    let pred: f64 = self
-                        .coeffs
-                        .row(r)
-                        .iter()
-                        .zip(solution.iter())
-                        .map(|(a, s)| a * s)
-                        .sum();
-                    worst = worst.max((pred - rhs[r]).abs());
-                }
+                // Residuals of the held-out equations decide consistency
+                // (Theorem 2's Θ construction: any solution of Ω solves
+                // every Θ).
+                let worst = BlockedBackend.residual_inf(&self.coeffs, n, solution.as_slice(), rhs);
                 Ok(ContrastVerdict {
                     params: unpack(solution, c_prime),
                     residual: worst,

@@ -40,6 +40,12 @@ pub enum InterpretError {
         /// Found instance length.
         found: usize,
     },
+    /// An instance feature is NaN or infinite: no hypercube around it holds
+    /// a finite sample, so no query could make progress.
+    NonFiniteInstance {
+        /// Index of the first non-finite feature.
+        index: usize,
+    },
     /// A linear-algebra failure that sampling retries could not clear.
     Numerical(LinalgError),
 }
@@ -59,6 +65,9 @@ impl fmt::Display for InterpretError {
             }
             InterpretError::DimensionMismatch { expected, found } => {
                 write!(f, "instance has dimension {found}, API expects {expected}")
+            }
+            InterpretError::NonFiniteInstance { index } => {
+                write!(f, "instance feature {index} is not finite")
             }
             InterpretError::Numerical(e) => write!(f, "numerical failure: {e}"),
         }
@@ -102,6 +111,9 @@ mod tests {
         }
         .to_string()
         .contains("5"));
+        assert!(InterpretError::NonFiniteInstance { index: 17 }
+            .to_string()
+            .contains("17"));
     }
 
     #[test]

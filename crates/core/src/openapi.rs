@@ -16,11 +16,10 @@
 //! `d + 1` are paid. Acceptance is still the full `Ω_{d+2}` check.
 
 use crate::decision::Interpretation;
-use crate::equations::{ConsistencySolver, EquationSystem, Probe};
+use crate::equations::{ConsistencySolver, ConsistencyStrategy, EquationSystem, Probe};
 use crate::error::InterpretError;
 use crate::sampler::{sample_in_hypercube, sample_many};
 use openapi_api::{log_ratio, PredictionApi};
-use openapi_linalg::solve::ConsistencyStrategy;
 use openapi_linalg::{LinalgError, Vector};
 use rand::Rng;
 
@@ -139,9 +138,34 @@ pub struct OpenApiResult {
     pub samples: Vec<Vector>,
 }
 
-/// Shared argument validation: a usable class needs `C ≥ 2` and
-/// `class < C`. Also used by the batch layer's up-front rejection.
-pub(crate) fn validate_class(c_total: usize, class: usize) -> Result<(), InterpretError> {
+/// Argument validation for every entry point that queries `api` about
+/// `x` — Algorithm 1, the batch layer, the serving tier, the naive method
+/// and the baselines — run before the first query, so a request doomed by
+/// its arguments is never billed one. `x` must have the API's dimension
+/// and finite features (a NaN or ±∞ feature puts every hypercube sample
+/// off the model's domain), and `class` must name one of its `C ≥ 2`
+/// classes.
+///
+/// # Errors
+/// [`InterpretError::DimensionMismatch`],
+/// [`InterpretError::NonFiniteInstance`] (first offending index),
+/// [`InterpretError::TooFewClasses`] or [`InterpretError::ClassOutOfRange`],
+/// checked in that order.
+pub fn validate_request<M: PredictionApi>(
+    api: &M,
+    x: &[f64],
+    class: usize,
+) -> Result<(), InterpretError> {
+    let (d, c_total) = (api.dim(), api.num_classes());
+    if x.len() != d {
+        return Err(InterpretError::DimensionMismatch {
+            expected: d,
+            found: x.len(),
+        });
+    }
+    if let Some(index) = x.iter().position(|v| !v.is_finite()) {
+        return Err(InterpretError::NonFiniteInstance { index });
+    }
     if c_total < 2 {
         return Err(InterpretError::TooFewClasses {
             num_classes: c_total,
@@ -177,8 +201,7 @@ impl OpenApiInterpreter {
     /// `class`.
     ///
     /// # Errors
-    /// * [`InterpretError::ClassOutOfRange`] / [`InterpretError::TooFewClasses`]
-    ///   / [`InterpretError::DimensionMismatch`] on invalid arguments.
+    /// * The argument errors of [`validate_request`], before any query.
     /// * [`InterpretError::BudgetExhausted`] when `max_iterations` sampling
     ///   rounds never produced `C − 1` consistent systems — for a true PLM
     ///   this happens only if `x0` lies exactly on a region boundary
@@ -190,15 +213,9 @@ impl OpenApiInterpreter {
         class: usize,
         rng: &mut R,
     ) -> Result<OpenApiResult, InterpretError> {
-        if x0.len() != api.dim() {
-            return Err(InterpretError::DimensionMismatch {
-                expected: api.dim(),
-                found: x0.len(),
-            });
-        }
-        // Validate the class BEFORE the x0 probe: a metered API must not be
-        // billed for a call that was doomed by its arguments.
-        validate_class(api.num_classes(), class)?;
+        // Validate BEFORE the x0 probe: a metered API must not be billed
+        // for a call that was doomed by its arguments.
+        validate_request(api, x0.as_slice(), class)?;
         let x0_probe = Probe::query(api, x0.clone());
         self.interpret_with_probe(api, x0_probe, class, rng)
     }
@@ -220,15 +237,8 @@ impl OpenApiInterpreter {
         class: usize,
         rng: &mut R,
     ) -> Result<OpenApiResult, InterpretError> {
-        let d = api.dim();
-        let c_total = api.num_classes();
-        if x0_probe.x.len() != d {
-            return Err(InterpretError::DimensionMismatch {
-                expected: d,
-                found: x0_probe.x.len(),
-            });
-        }
-        validate_class(c_total, class)?;
+        validate_request(api, x0_probe.x.as_slice(), class)?;
+        let (d, c_total) = (api.dim(), api.num_classes());
         let x0 = x0_probe.x.clone();
         let segments = self.config.edge_search.segments(d);
         let mut queries = 1usize;
@@ -364,6 +374,9 @@ impl OpenApiInterpreter {
         x0: &Vector,
         rng: &mut R,
     ) -> Result<OpenApiResult, InterpretError> {
+        // Validate before the labelling query; class 0 exists whenever the
+        // model has the two classes any interpretation needs.
+        validate_request(api, x0.as_slice(), 0)?;
         let class = api.predict_label(x0.as_slice());
         self.interpret(api, x0, class, rng)
     }
@@ -883,6 +896,38 @@ mod tests {
             interp.interpret(&api, &x0, 9, &mut rng),
             Err(InterpretError::ClassOutOfRange { .. })
         ));
+    }
+
+    #[test]
+    fn non_finite_instances_are_refused_before_any_query() {
+        let api = CountingApi::new(linear_model());
+        let interp = OpenApiInterpreter::new(OpenApiConfig {
+            edge_search: EdgeSearch::PreScreen,
+            ..OpenApiConfig::default()
+        });
+        let mut rng = StdRng::seed_from_u64(8);
+        for (index, v) in [(0, f64::NAN), (2, f64::INFINITY), (3, f64::NEG_INFINITY)] {
+            let mut x0 = Vector(vec![0.1; 4]);
+            x0[index] = v;
+            let refused = InterpretError::NonFiniteInstance { index };
+            assert_eq!(
+                interp.interpret(&api, &x0, 0, &mut rng).unwrap_err(),
+                refused
+            );
+            assert_eq!(
+                interp.interpret_predicted(&api, &x0, &mut rng).unwrap_err(),
+                refused
+            );
+            // A probe carrying a non-finite x is refused too (its query
+            // was paid by the caller; Algorithm 1 adds none).
+            let probe = Probe {
+                x: x0.clone(),
+                probs: Vector(vec![0.25; 4]),
+            };
+            let r = interp.interpret_with_probe(&api, probe, 0, &mut rng);
+            assert_eq!(r.unwrap_err(), refused);
+        }
+        assert_eq!(api.queries(), 0);
     }
 
     #[test]

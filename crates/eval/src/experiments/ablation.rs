@@ -23,8 +23,8 @@ use crate::experiments::{out_path, predicted_classes};
 use crate::panel::{eval_indices, Panel};
 use crate::parallel::parallel_map;
 use openapi_api::QuantizedApi;
+use openapi_core::equations::ConsistencyStrategy;
 use openapi_core::{EdgeSearch, NaiveConfig, NaiveInterpreter, OpenApiConfig, OpenApiInterpreter};
-use openapi_linalg::solve::ConsistencyStrategy;
 use openapi_metrics::exactness::{ground_truth_features, l1_dist};
 use openapi_metrics::report::{write_csv, Table};
 use std::time::Instant;

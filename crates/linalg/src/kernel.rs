@@ -157,8 +157,9 @@ pub struct RowGroup {
 ///
 /// A backend provides three kernels over contiguous row data: batched
 /// boundary evaluation (`y = W·x + b` for a range of packed rows), batched
-/// Theorem-2 membership verdicts, and the blocked residual sweep of
-/// [`crate::solve::check_consistency`]. [`ScalarBackend`] defines the
+/// Theorem-2 membership verdicts, and the blocked held-out residual sweep
+/// of Algorithm 1's consistency check (`openapi_core`'s
+/// `ConsistencySolver::check`). [`ScalarBackend`] defines the
 /// reference semantics; every backend must be bit-identical to it (same
 /// per-row accumulation order — speed must come from parallelism *across*
 /// rows, never from reassociating a row's sum).
@@ -496,11 +497,6 @@ pub fn default_backend() -> Arc<dyn Backend> {
     Arc::new(BlockedBackend)
 }
 
-/// The strict reference backend, for oracles and identity tests.
-pub fn scalar_backend() -> Arc<dyn Backend> {
-    Arc::new(ScalarBackend)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -639,7 +635,7 @@ mod tests {
         let scalar = ScalarBackend.residual_inf(&a, 5, &x, &b);
         let blocked = BlockedBackend.residual_inf(&a, 5, &x, &b);
         assert_eq!(scalar.to_bits(), blocked.to_bits());
-        // And both match the historical inline sweep of check_consistency.
+        // And both match the historical inline sweep of the consistency check.
         let mut worst = 0.0f64;
         for (r, &bv) in b.iter().enumerate().skip(5) {
             let pred: f64 = a.row(r).iter().zip(x.iter()).map(|(p, q)| p * q).sum();

@@ -14,8 +14,10 @@
 //! * [`QrFactor`] — Householder QR for least-squares solves and numerical
 //!   rank (the robust path of the consistency check, and the fitting engine
 //!   behind the LIME baselines).
-//! * [`solve`] — high-level entry points with residual diagnostics, used by
-//!   `openapi-core` to decide whether an overdetermined system is consistent.
+//!
+//! The consistency check itself — Theorem 2's verdict on an overdetermined
+//! system — lives in `openapi-core` (`equations::ConsistencySolver`), built
+//! on these factorizations and the [`kernel`] residual sweep.
 //!
 //! All routines are deterministic and allocate only what they return; hot
 //! paths (factor/solve) reuse caller-provided buffers where it matters.
@@ -28,26 +30,20 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod cholesky;
 pub mod codec;
 pub mod error;
 pub mod kernel;
 pub mod lu;
 pub mod matrix;
 pub mod qr;
-pub mod ridge;
-pub mod solve;
 pub mod stats;
 pub mod vector;
 
-pub use cholesky::CholeskyFactor;
 pub use error::LinalgError;
 pub use kernel::{Backend, BlockedBackend, RowGroup, RowMatrix, ScalarBackend};
 pub use lu::LuFactor;
 pub use matrix::Matrix;
 pub use qr::QrFactor;
-pub use ridge::ridge_regression;
-pub use solve::{lstsq, solve_square, ConsistencyReport, SolveDiagnostics};
 pub use stats::Summary;
 pub use vector::Vector;
 

@@ -155,25 +155,6 @@ impl LuFactor {
         }
         d
     }
-
-    /// A cheap lower bound on the condition of the factorization: the ratio
-    /// of the largest to smallest absolute diagonal entry of `U`. Useful to
-    /// flag nearly-degenerate sampling geometry in diagnostics, not a
-    /// rigorous condition number.
-    pub fn diagonal_condition(&self) -> f64 {
-        let mut lo = f64::INFINITY;
-        let mut hi: f64 = 0.0;
-        for i in 0..self.dim() {
-            let d = self.packed[(i, i)].abs();
-            lo = lo.min(d);
-            hi = hi.max(d);
-        }
-        if lo == 0.0 {
-            f64::INFINITY
-        } else {
-            hi / lo
-        }
-    }
 }
 
 #[cfg(test)]
@@ -261,17 +242,6 @@ mod tests {
         for i in 0..n {
             assert!((r[i] - b[i]).abs() < 1e-10, "residual too large at {i}");
         }
-    }
-
-    #[test]
-    fn diagonal_condition_flags_near_singular() {
-        let good = Matrix::identity(3);
-        assert!((LuFactor::new(&good).unwrap().diagonal_condition() - 1.0).abs() < 1e-12);
-
-        let mut bad = Matrix::identity(3);
-        bad[(2, 2)] = 1e-9;
-        let cond = LuFactor::new(&bad).unwrap().diagonal_condition();
-        assert!(cond > 1e8);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use openapi_core::batch::queries_consumed;
 use openapi_core::cache::{CachedRegion, ProbeRef};
 use openapi_core::decision::{Interpretation, RegionFingerprint};
 use openapi_core::equations::Probe;
-use openapi_core::openapi::{EdgeSearch, OpenApiConfig, OpenApiInterpreter};
+use openapi_core::openapi::{validate_request, EdgeSearch, OpenApiConfig, OpenApiInterpreter};
 use openapi_core::InterpretError;
 use openapi_linalg::Vector;
 use openapi_store::{RegionStore, StoreConfig, StoreError};
@@ -458,6 +458,19 @@ impl<M: PredictionApi + Send + Sync + 'static> InterpretationService<M> {
     /// trace span — `openapi-net` mints the span at frame decode so the
     /// request's trace covers its wire time too.
     pub fn submit_spanned(&self, request: InterpretRequest, span: RequestSpan) -> Ticket {
+        let (job, ticket) = self.open_job(request, span);
+        if let Err(channel::SendError(Msg::Job(job))) = self.tx.send(Msg::Job(job)) {
+            // Workers are gone (shutdown raced the submit): fail the ticket
+            // immediately — through `finish`, so the failure is counted and
+            // the stats ledger stays consistent.
+            finish(self.inner.as_ref(), job, Err(ServeError::ServiceStopped));
+        }
+        ticket
+    }
+
+    /// Admits one request: counts it, and builds its [`Job`] under `span`
+    /// with a fresh id and the reply channel its [`Ticket`] waits on.
+    fn open_job(&self, request: InterpretRequest, span: RequestSpan) -> (Job, Ticket) {
         let (reply, rx) = mpsc::channel();
         ServiceStats::add(&self.inner.stats.requests, 1);
         let now = clock::now();
@@ -477,13 +490,7 @@ impl<M: PredictionApi + Send + Sync + 'static> InterpretationService<M> {
             stage_ns: [0; slowlog::STAGES],
             reply,
         };
-        if let Err(channel::SendError(Msg::Job(job))) = self.tx.send(Msg::Job(job)) {
-            // Workers are gone (shutdown raced the submit): fail the ticket
-            // immediately — through `finish`, so the failure is counted and
-            // the stats ledger stays consistent.
-            finish(self.inner.as_ref(), job, Err(ServeError::ServiceStopped));
-        }
-        Ticket { rx }
+        (job, Ticket { rx })
     }
 
     /// Convenience: submit an instance/class pair with no deadline.
@@ -524,30 +531,13 @@ impl<M: PredictionApi + Send + Sync + 'static> InterpretationService<M> {
         // membership probe.
         let mut pending: Vec<(Job, Vector)> = Vec::new();
         for request in requests {
-            let (reply, rx) = mpsc::channel();
-            ServiceStats::add(&inner.stats.requests, 1);
-            let now = clock::now();
-            let mut job = Job {
-                x: request.instance,
-                class: request.class,
-                deadline: request.deadline,
-                probs: None,
-                queries_spent: 0,
-                submitted: now,
-                enqueued: now,
-                // ordering: Relaxed — uniqueness only, as in `submit`.
-                id: self.next_id.fetch_add(1, Ordering::Relaxed),
-                drifted: false,
-                span: parent.child(),
-                stage_ns: [0; slowlog::STAGES],
-                reply,
-            };
-            tickets.push(Ticket { rx });
+            let (mut job, ticket) = self.open_job(request, parent.child());
+            tickets.push(ticket);
             if expired(&job) {
                 finish(inner, job, Err(ServeError::DeadlineExceeded));
                 continue;
             }
-            if let Err(e) = validate(&inner.api, &job) {
+            if let Err(e) = validate_request(&inner.api, job.x.as_slice(), job.class) {
                 finish(inner, job, Err(ServeError::Interpret(e)));
                 continue;
             }
@@ -954,31 +944,6 @@ fn served(job: &Job, region: CachedRegion, outcome: ServeOutcome) -> Served {
     }
 }
 
-/// Argument validation, mirroring `OpenApiInterpreter::interpret`, run
-/// before a request's first query: doomed requests are not billed a
-/// single one.
-fn validate(api: &impl PredictionApi, job: &Job) -> Result<(), InterpretError> {
-    let (d, c_total) = (api.dim(), api.num_classes());
-    if job.x.len() != d {
-        return Err(InterpretError::DimensionMismatch {
-            expected: d,
-            found: job.x.len(),
-        });
-    }
-    if c_total < 2 {
-        return Err(InterpretError::TooFewClasses {
-            num_classes: c_total,
-        });
-    }
-    if job.class >= c_total {
-        return Err(InterpretError::ClassOutOfRange {
-            class: job.class,
-            num_classes: c_total,
-        });
-    }
-    Ok(())
-}
-
 fn expired(job: &Job) -> bool {
     job.deadline.is_some_and(|d| clock::now() > d)
 }
@@ -993,7 +958,8 @@ fn handle_job<M: PredictionApi>(inner: &Inner<M>, tx: &Sender<Msg>, mut job: Job
     if expired(&job) {
         return finish(inner, job, Err(ServeError::DeadlineExceeded));
     }
-    if let Err(e) = validate(&inner.api, &job) {
+    // Validated before the first query: a doomed request is not billed.
+    if let Err(e) = validate_request(&inner.api, job.x.as_slice(), job.class) {
         return finish(inner, job, Err(ServeError::Interpret(e)));
     }
 
@@ -1415,6 +1381,35 @@ mod tests {
         assert_eq!(svc.api().queries(), 0);
         let stats = svc.stats();
         assert_eq!(stats.failures, 2);
+    }
+
+    #[test]
+    fn non_finite_instances_fail_without_queries_on_both_submit_paths() {
+        let svc = service(1);
+        let refused = |r: Result<Served, ServeError>, index: usize| {
+            assert!(
+                matches!(
+                    r,
+                    Err(ServeError::Interpret(InterpretError::NonFiniteInstance { index: i }))
+                        if i == index
+                ),
+                "{r:?}"
+            );
+        };
+        refused(
+            svc.submit_instance(Vector(vec![f64::NAN, 0.2]), 0).wait(),
+            0,
+        );
+        let batch = svc.submit_batch(vec![
+            InterpretRequest::new(Vector(vec![0.1, f64::INFINITY]), 0),
+            InterpretRequest::new(Vector(vec![f64::NEG_INFINITY, 0.2]), 1),
+        ]);
+        for (ticket, index) in batch.into_iter().zip([1, 0]) {
+            refused(ticket.wait(), index);
+        }
+        assert_eq!(svc.api().queries(), 0);
+        let stats = svc.stats();
+        assert_eq!((stats.failures, stats.queries), (3, 0));
     }
 
     #[test]

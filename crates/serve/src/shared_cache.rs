@@ -155,7 +155,7 @@ impl SharedRegionCache {
         let shard = (fingerprint.0 % self.shards.len() as u64) as usize;
         let (cached, _) = self.shards[shard]
             .write()
-            .insert(fingerprint, interpretation, None);
+            .insert(fingerprint, interpretation);
         cached
     }
 

@@ -114,7 +114,7 @@ impl Index {
         }
         let (region, fresh) = self
             .regions
-            .insert(record.fingerprint, record.interpretation, None);
+            .insert(record.fingerprint, record.interpretation);
         fresh.then(|| self.keep(StoreRecord::Live(region)))
     }
 

@@ -60,21 +60,6 @@ fn cache_hits_are_bit_identical_to_the_region_cold_run() {
 }
 
 #[test]
-fn oracle_keyed_cache_hits_issue_zero_api_queries() {
-    let api = CountingApi::new(two_region_plm());
-    let instances = workload(10);
-    let mut batch = BatchInterpreter::new(BatchConfig::default());
-    let mut rng = StdRng::seed_from_u64(9);
-    let warm = batch.interpret_batch_oracle(&api, &instances, 0, &mut rng);
-    assert_eq!(warm.stats.misses, 2);
-    let spent_warming = api.queries();
-    assert!(spent_warming > 0);
-    let hot = batch.interpret_batch_oracle(&api, &instances, 0, &mut rng);
-    assert_eq!(hot.stats.hits, instances.len());
-    assert_eq!(api.queries(), spent_warming, "hits must issue zero queries");
-}
-
-#[test]
 fn black_box_batching_cuts_queries_at_least_five_fold() {
     let plm = two_region_plm();
     let instances = workload(40);

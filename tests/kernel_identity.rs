@@ -2,19 +2,18 @@
 //! packed matrices, probes, and tolerances, the [`BlockedBackend`] must
 //! reproduce the [`ScalarBackend`] oracle *bit for bit* across every
 //! kernel — boundary evaluation (single- and multi-probe), membership
-//! verdicts, and the residual sweep behind `check_consistency`.
+//! verdicts, and the held-out residual sweep behind
+//! `ConsistencySolver::check`.
 //!
 //! These run in CI under `--release` as well: the blocked code paths the
 //! optimizer actually emits (vectorized, unrolled) are the ones that must
 //! hold the contract, not just the debug build.
 
-use openapi_repro::linalg::kernel::{
-    scalar_backend, Backend, BlockedBackend, RowGroup, RowMatrix, ScalarBackend,
+use openapi_repro::core::equations::{
+    ConsistencySolver, ConsistencyStrategy, EquationSystem, Probe,
 };
-use openapi_repro::linalg::solve::{
-    check_consistency, check_consistency_with, ConsistencyStrategy,
-};
-use openapi_repro::linalg::Matrix;
+use openapi_repro::linalg::kernel::{Backend, BlockedBackend, RowGroup, RowMatrix, ScalarBackend};
+use openapi_repro::linalg::{Matrix, Vector};
 use proptest::prelude::*;
 
 /// Strategy: a packed `rows × cols` matrix plus parallel bias, with shapes
@@ -134,8 +133,10 @@ proptest! {
         prop_assert_eq!(vs, vb);
     }
 
-    /// The residual sweep agrees bit-for-bit, and the consistency verdict
-    /// of `check_consistency` is unchanged by the backend choice.
+    /// The residual sweep agrees bit-for-bit, and `ConsistencySolver`'s
+    /// held-out sweep (which runs on the blocked kernel) reproduces the
+    /// scalar oracle's residual over its own solution, and the verdict
+    /// that follows from it.
     #[test]
     fn residual_sweep_is_bit_identical(
         fixture in packed_fixture(),
@@ -151,19 +152,26 @@ proptest! {
         let blocked = BlockedBackend.residual_inf(&a, from, x, &b);
         prop_assert_eq!(scalar.to_bits(), blocked.to_bits());
         if rows > cols {
+            // Rows `[1 | a.row(r)[1..]]`: the fixture's trailing columns
+            // are the probes; the solver supplies the bias column.
+            let probes = (0..rows)
+                .map(|r| Probe {
+                    x: Vector(a.row(r)[1..].to_vec()),
+                    probs: Vector(vec![0.5, 0.5]),
+                })
+                .collect();
+            let sys = EquationSystem::new(probes);
             let strategy = ConsistencyStrategy::SquareThenCheck;
-            let reference = check_consistency(&a, &b, rtol, strategy);
-            let via_scalar = check_consistency_with(&a, &b, rtol, strategy, &*scalar_backend());
-            let via_blocked = check_consistency_with(&a, &b, rtol, strategy, &BlockedBackend);
-            match (reference, via_scalar, via_blocked) {
-                (Ok(r), Ok(s), Ok(bl)) => {
-                    prop_assert_eq!(r.residual.to_bits(), s.residual.to_bits());
-                    prop_assert_eq!(r.residual.to_bits(), bl.residual.to_bits());
-                    prop_assert_eq!(r.consistent, bl.consistent);
-                    prop_assert_eq!(r.threshold.to_bits(), bl.threshold.to_bits());
-                }
-                (Err(_), Err(_), Err(_)) => {} // degenerate LU: same for all
-                _ => prop_assert!(false, "backends disagreed on solvability"),
+            // A degenerate leading block fails to factor: nothing to sweep.
+            if let Ok(solver) = ConsistencySolver::new(&sys, strategy, rtol) {
+                let v = solver.check(&b, 1).expect("LU path never rank-fails");
+                let mut solution = vec![v.params.bias];
+                solution.extend_from_slice(v.params.weights.as_slice());
+                let oracle = ScalarBackend.residual_inf(sys.coefficients(), cols, &solution, &b);
+                prop_assert_eq!(v.residual.to_bits(), oracle.to_bits());
+                let bscale = b.iter().fold(0.0f64, |s, v| s.max(v.abs())).max(1.0);
+                prop_assert_eq!(v.threshold.to_bits(), (rtol * bscale).to_bits());
+                prop_assert_eq!(v.consistent, oracle <= v.threshold);
             }
         }
     }

@@ -527,6 +527,41 @@ fn batches_return_per_item_results() {
     server.close().expect("clean close");
 }
 
+/// An instance with a NaN or ±∞ feature decodes fine (the codec carries
+/// any bit pattern) but is refused with a typed error before the service
+/// spends a single query, single or batched.
+#[test]
+fn non_finite_instances_are_refused_without_a_query() {
+    let server = spawn_server(2);
+    let mut client = Client::connect(server.local_addr()).expect("handshake");
+    let poisoned = |v: f64| {
+        let mut x = instance(0);
+        x[1] = v;
+        x
+    };
+    for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        match client.interpret(&poisoned(v), 0) {
+            Err(ClientError::Remote(e)) => {
+                assert_eq!(e.code, ErrorCode::Interpret);
+                assert!(e.message.contains("feature 1"), "{v}: {e}");
+            }
+            other => panic!("{v}: expected a typed refusal, got {other:?}"),
+        }
+    }
+    let items = vec![(poisoned(f64::NAN), 0), (poisoned(f64::INFINITY), 1)];
+    let results = client
+        .interpret_batch(&items, None)
+        .expect("batch exchange");
+    for r in &results {
+        let e = r.as_ref().expect_err("non-finite item must fail");
+        assert_eq!(e.code, ErrorCode::Interpret);
+    }
+    assert_eq!(server.service().api().queries(), 0);
+    let stats = client.stats().expect("stats exchange");
+    assert_eq!((stats.requests, stats.failures, stats.queries), (5, 5, 0));
+    server.close().expect("clean close");
+}
+
 /// The statistics a remote client fetches are the service's own numbers.
 #[test]
 fn stats_travel_the_wire_faithfully() {

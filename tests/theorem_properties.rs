@@ -5,10 +5,11 @@ use openapi_repro::prelude::*;
 use openapi_repro::{api, core, nn};
 
 use api::{LinearSoftmaxModel, LocalLinearModel, TwoRegionPlm};
-use core::equations::{solve_determined, ConsistencySolver, EquationSystem, Probe};
+use core::equations::{
+    solve_determined, ConsistencySolver, ConsistencyStrategy, EquationSystem, Probe,
+};
 use core::sampler::sample_many;
 use nn::{Activation, Plnn};
-use openapi_repro::linalg::solve::ConsistencyStrategy;
 use openapi_repro::linalg::Matrix;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
