@@ -5,7 +5,7 @@
 use openapi_repro::api::CountingApi;
 use openapi_repro::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 mod common;
 use common::{two_region_plm, DIM};
@@ -82,5 +82,58 @@ fn black_box_batching_cuts_queries_at_least_five_fold() {
         counted_batch.queries() * 5 <= solo,
         "expected ≥5× fewer queries: {} vs {solo}",
         counted_batch.queries()
+    );
+}
+
+#[test]
+fn a_batch_equals_its_instances_interpreted_one_at_a_time() {
+    let plm = two_region_plm();
+    let mut instances = workload(12);
+    instances[5].0[3] = f64::NAN;
+    let class = 1;
+
+    let batched_api = CountingApi::new(&plm);
+    let mut batched = BatchInterpreter::new(BatchConfig::default());
+    let mut batched_rng = StdRng::seed_from_u64(23);
+    let out = batched.interpret_batch(&batched_api, &instances, class, &mut batched_rng);
+
+    let single_api = CountingApi::new(&plm);
+    let mut single = BatchInterpreter::new(BatchConfig::default());
+    let mut single_rng = StdRng::seed_from_u64(23);
+    let singles: Vec<_> = instances
+        .iter()
+        .map(|x| {
+            let mut one = single.interpret_batch(
+                &single_api,
+                std::slice::from_ref(x),
+                class,
+                &mut single_rng,
+            );
+            assert_eq!(one.results.len(), 1);
+            one.results.pop().unwrap()
+        })
+        .collect();
+
+    assert_eq!(out.results.len(), singles.len());
+    for (i, (b, s)) in out.results.iter().zip(&singles).enumerate() {
+        match (b, s) {
+            (Ok(b), Ok(s)) => {
+                assert_eq!(b.interpretation, s.interpretation, "instance {i}");
+                assert_eq!(b.fingerprint, s.fingerprint, "instance {i}");
+                assert_eq!(b.cache_hit, s.cache_hit, "instance {i}");
+                assert_eq!(b.queries, s.queries, "instance {i}");
+            }
+            (Err(b), Err(s)) => assert_eq!(b, s, "instance {i}"),
+            _ => panic!("instance {i}: batch {b:?} vs one at a time {s:?}"),
+        }
+    }
+    assert!(out.results[5].is_err(), "the NaN instance fails");
+    assert!(out.stats.hits > 0 && out.stats.misses > 0);
+    assert_eq!(batched.lifetime_stats(), single.lifetime_stats());
+    assert_eq!(batched_api.queries(), single_api.queries());
+    assert_eq!(
+        batched_rng.gen::<u64>(),
+        single_rng.gen::<u64>(),
+        "both paths consume the same solver randomness"
     );
 }
