@@ -7,7 +7,7 @@
 //! total). Two hard claims are asserted before the criterion timings:
 //!
 //! 1. **Strictly fewer API queries.** Eight clients sharing one
-//!    `InterpretationService` (shared sharded cache + request coalescing)
+//!    `InterpretationService` (shared region cache + request coalescing)
 //!    must issue strictly fewer total prediction queries than eight
 //!    independent `BatchInterpreter`s running the same workload — the
 //!    independents each re-solve every region; the service solves each

@@ -17,8 +17,9 @@
 //!   parameters satisfy `D_{c,c'}ᵀx + B_{c,c'} = ln(y_c/y_{c'})` for every
 //!   contrast ([`Interpretation::explains_probe`]), then `x` lies in that
 //!   region (exactly, at zero tolerance) and the cached interpretation is
-//!   `x`'s interpretation. The check runs at the finite
-//!   [`BatchConfig::membership_rtol`], so an instance within roughly that
+//!   `x`'s interpretation. The check runs at the finite tolerance of
+//!   Algorithm 1's own consistency check ([`OpenApiConfig::rtol`] of
+//!   [`BatchConfig::openapi`]), so an instance within roughly that
 //!   tolerance of a boundary can match the *adjacent* region — a PLM is
 //!   continuous across boundaries, so the served parameters still explain
 //!   `x`'s observable behaviour to the same tolerance Algorithm 1 itself
@@ -31,12 +32,13 @@
 //!   the same region (e.g. a borderline membership tolerance) merge into one
 //!   entry and all their callers receive bit-identical interpretations.
 //!
-//! The cache itself lives in [`crate::cache::RegionCache`] — the sharded
-//! concurrent tier in `openapi-serve` wraps the same structure, so both
-//! share one membership-probe code path. [`BatchStats`] exposes the
-//! hit/miss/query accounting a capacity planner needs.
+//! The cache itself lives in [`crate::cache::RegionCache`] — the
+//! concurrent tier in `openapi-serve` puts the same structure behind one
+//! lock, so both share one membership-probe code path and one lookup
+//! order. [`BatchStats`] exposes the hit/miss/query accounting a capacity
+//! planner needs.
 
-use crate::cache::{CachedRegion, ProbeRef, RegionCache, RegionCacheConfig};
+use crate::cache::{RegionCache, RegionCacheConfig};
 use crate::decision::{Interpretation, RegionFingerprint};
 use crate::equations::Probe;
 use crate::error::InterpretError;
@@ -49,13 +51,10 @@ use std::sync::Arc;
 /// Batch-layer hyperparameters.
 #[derive(Debug, Clone)]
 pub struct BatchConfig {
-    /// Configuration of the underlying per-region Algorithm 1 runs.
+    /// Configuration of the underlying per-region Algorithm 1 runs. Its
+    /// [`OpenApiConfig::rtol`] is also the cached-region membership
+    /// tolerance: membership and consistency judge the same identity.
     pub openapi: OpenApiConfig,
-    /// Relative tolerance of the cached-region membership test. Defaults to
-    /// `1e-6`, matching [`OpenApiConfig::rtol`]'s default — membership and
-    /// consistency judge the same identity, so keep them aligned when
-    /// customizing either.
-    pub membership_rtol: f64,
     /// Decimal places used to canonicalize recovered core parameters into a
     /// [`RegionFingerprint`] (default 6). See
     /// [`crate::decision::region_fingerprint`].
@@ -64,11 +63,9 @@ pub struct BatchConfig {
 
 impl Default for BatchConfig {
     fn default() -> Self {
-        let openapi = OpenApiConfig::default();
         BatchConfig {
-            membership_rtol: openapi.rtol,
+            openapi: OpenApiConfig::default(),
             fingerprint_digits: 6,
-            openapi,
         }
     }
 }
@@ -172,7 +169,7 @@ impl BatchInterpreter {
     pub fn new(config: BatchConfig) -> Self {
         let interpreter = OpenApiInterpreter::new(config.openapi.clone());
         let cache = RegionCache::new(RegionCacheConfig {
-            membership_rtol: config.membership_rtol,
+            membership_rtol: config.openapi.rtol,
             ..RegionCacheConfig::default()
         });
         BatchInterpreter {
@@ -215,22 +212,14 @@ impl BatchInterpreter {
     /// Interprets `instances` for `class` against a black-box API,
     /// deduplicating by region.
     ///
-    /// Each instance costs one membership probe; cache hits stop there
-    /// (1 query instead of a full Algorithm-1 solve), misses
-    /// reuse the probe as Algorithm 1's `x⁰` equation so nothing is queried
-    /// twice. Results are in input order; per-instance failures land as
-    /// `Err` entries without aborting the batch.
-    ///
-    /// The batch runs in three phases: every instance is probed up front
-    /// (one query each, exactly as the per-instance path would spend), the
-    /// whole probe batch is resolved against the pre-batch cache in **one
-    /// blocked kernel pass** ([`RegionCache::lookup_probe_batch`]), and a
-    /// final in-order sweep re-checks each leftover miss against only the
-    /// regions solved earlier *in the same batch* (a delta scan past the
-    /// pre-batch watermark) before running Algorithm 1 on it. Query
-    /// accounting, solver RNG consumption, and which entry serves each
-    /// instance are identical to the sequential formulation — the phases
-    /// only reorder the membership math so it runs batched.
+    /// Instances run one at a time, in input order, so a batch is exactly
+    /// its instances submitted one by one: each is validated, costs one
+    /// membership probe, and is served by the first cached region that
+    /// explains it (1 query instead of a full Algorithm-1 solve). A miss
+    /// reuses the probe as Algorithm 1's `x⁰` equation, so nothing is
+    /// queried twice, and admits the solved region before the next
+    /// instance runs. Per-instance failures land as `Err` entries without
+    /// aborting the batch.
     pub fn interpret_batch<M: PredictionApi, R: Rng>(
         &mut self,
         api: &M,
@@ -239,95 +228,56 @@ impl BatchInterpreter {
         rng: &mut R,
     ) -> BatchOutcome {
         let mut stats = new_stats(instances.len());
-
-        // Phase 1: probe every valid instance (1 query each; invalid ones
-        // spend none). Probes consume no solver RNG, so fronting them
-        // leaves the per-miss RNG stream untouched.
-        let probes: Vec<Result<Probe, InterpretError>> = instances
+        let results = instances
             .iter()
-            .map(|x| {
-                validate_request(api, x.as_slice(), class)?;
-                stats.queries += 1;
-                Ok(Probe::query(api, x.clone()))
-            })
+            .map(|x| self.interpret_one(api, x, class, rng, &mut stats))
             .collect();
-
-        // Phase 2: one blocked pass resolves the whole batch against the
-        // cache as it stood when the batch arrived.
-        let watermark = self.cache.group_watermark(class, api.dim());
-        let mut hits: Vec<Option<CachedRegion>> = vec![None; instances.len()];
-        {
-            let mut refs = Vec::with_capacity(instances.len());
-            let mut owner = Vec::with_capacity(instances.len());
-            for (i, probe) in probes.iter().enumerate() {
-                if let Ok(probe) = probe {
-                    refs.push(ProbeRef {
-                        x: &instances[i],
-                        probs: probe.probs.as_slice(),
-                        class,
-                    });
-                    owner.push(i);
-                }
-            }
-            let mut ref_hits = vec![None; refs.len()];
-            self.cache.lookup_probe_batch(&refs, &mut ref_hits);
-            for (j, hit) in ref_hits.into_iter().enumerate() {
-                hits[owner[j]] = hit;
-            }
-        }
-
-        // Phase 3: in-order sweep. A pre-batch miss may still belong to a
-        // region an *earlier instance of this batch* just solved — the
-        // delta scan checks exactly the groups admitted past the
-        // watermark, so the sweep sees the same cache state the sequential
-        // formulation would at this instance.
-        let mut results = Vec::with_capacity(instances.len());
-        for (i, (x, probe)) in instances.iter().zip(probes).enumerate() {
-            let probe = match probe {
-                Ok(probe) => probe,
-                Err(e) => {
-                    stats.failures += 1;
-                    results.push(Err(e));
-                    continue;
-                }
-            };
-            let hit = hits[i].take().or_else(|| {
-                self.cache
-                    .lookup_probe_from(x, probe.probs.as_slice(), class, watermark)
-            });
-            let result = match hit {
-                Some(hit) => {
-                    stats.hits += 1;
-                    Ok(BatchItem {
-                        interpretation: hit.interpretation,
-                        fingerprint: hit.fingerprint,
-                        cache_hit: true,
-                        queries: 1,
-                    })
-                }
-                None => match self
-                    .interpreter
-                    .interpret_with_probe(api, probe, class, rng)
-                {
-                    Ok(solved) => {
-                        // `solved.queries` counts the membership probe (as
-                        // Algorithm 1's x⁰ query); it was tallied in phase
-                        // 1, so only the sampling rounds add here.
-                        stats.queries += solved.queries - 1;
-                        stats.misses += 1;
-                        Ok(self.admit(solved.interpretation, solved.queries))
-                    }
-                    Err(e) => {
-                        stats.queries += queries_consumed(&e);
-                        stats.failures += 1;
-                        Err(e)
-                    }
-                },
-            };
-            results.push(result);
-        }
         self.finish(class, &mut stats);
         BatchOutcome { results, stats }
+    }
+
+    /// One instance of [`BatchInterpreter::interpret_batch`], tallied into
+    /// `stats`.
+    fn interpret_one<M: PredictionApi, R: Rng>(
+        &mut self,
+        api: &M,
+        x: &Vector,
+        class: usize,
+        rng: &mut R,
+        stats: &mut BatchStats,
+    ) -> Result<BatchItem, InterpretError> {
+        if let Err(e) = validate_request(api, x.as_slice(), class) {
+            stats.failures += 1;
+            return Err(e);
+        }
+        stats.queries += 1;
+        let probe = Probe::query(api, x.clone());
+        if let Some(hit) = self.cache.lookup_probe(x, probe.probs.as_slice(), class) {
+            stats.hits += 1;
+            return Ok(BatchItem {
+                interpretation: hit.interpretation,
+                fingerprint: hit.fingerprint,
+                cache_hit: true,
+                queries: 1,
+            });
+        }
+        match self
+            .interpreter
+            .interpret_with_probe(api, probe, class, rng)
+        {
+            Ok(solved) => {
+                // `solved.queries` counts the membership probe (as
+                // Algorithm 1's x⁰ query), which is already tallied.
+                stats.queries += solved.queries - 1;
+                stats.misses += 1;
+                Ok(self.admit(solved.interpretation, solved.queries))
+            }
+            Err(e) => {
+                stats.queries += queries_consumed(&e);
+                stats.failures += 1;
+                Err(e)
+            }
+        }
     }
 
     /// Admits a freshly solved region into the cache (see

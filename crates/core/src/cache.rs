@@ -5,10 +5,11 @@
 //! *region*, not per instance. [`RegionCache`] owns the membership-probe
 //! lookup, the canonical-fingerprint merge, and the collision fallback — the
 //! one membership code path of the workspace. The single-threaded batch
-//! layer ([`crate::batch::BatchInterpreter`]), the sharded concurrent cache
-//! in `openapi-serve`, and the durable store in `openapi-store` (whose
-//! in-memory image is an unbounded `RegionCache`) all look up and merge
-//! regions here.
+//! layer ([`crate::batch::BatchInterpreter`]), the concurrent cache in
+//! `openapi-serve` (one `RegionCache` behind a lock), and the durable store
+//! in `openapi-store` (whose in-memory image is an unbounded `RegionCache`)
+//! all look up and merge regions here, in one order: a probe resolves to
+//! the first admitted region that explains it.
 //!
 //! Lookup is black-box and sound by Theorem 2
 //! ([`RegionCache::lookup_probe`]): a cached region's parameters either
@@ -67,8 +68,9 @@ const PAGE_ROWS: usize = 128;
 /// Configuration of a [`RegionCache`].
 #[derive(Debug, Clone)]
 pub struct RegionCacheConfig {
-    /// Relative tolerance of the membership test (see
-    /// [`crate::batch::BatchConfig::membership_rtol`]).
+    /// Relative tolerance of the membership test. Defaults to
+    /// [`crate::openapi::OpenApiConfig::rtol`]'s default: membership and
+    /// Algorithm 1's consistency check judge the same Theorem-2 identity.
     pub membership_rtol: f64,
     /// Maximum cached regions; `None` (the batch layer's and the store's
     /// setting) never evicts. A bound of 0 is clamped to 1.
@@ -297,24 +299,6 @@ impl RegionCache {
     /// kernel evaluations of the packed boundaries instead of a per-entry
     /// scan, with verdicts bit-identical to `explains_probe`'s.
     pub fn lookup_probe(&self, x: &Vector, probs: &[f64], class: usize) -> Option<CachedRegion> {
-        self.lookup_probe_from(x, probs, class, 0)
-    }
-
-    /// [`RegionCache::lookup_probe`] restricted to region groups admitted
-    /// at or after the watermark `from_group` (see
-    /// [`RegionCache::group_watermark`]). The batch layer uses this delta
-    /// scan to re-check only the regions solved *during* a batch after a
-    /// full pass over the pre-batch cache already missed.
-    ///
-    /// Watermarks stay valid only while the cache does not evict — delta
-    /// scans are for unbounded configurations (the batch layer's).
-    pub fn lookup_probe_from(
-        &self,
-        x: &Vector,
-        probs: &[f64],
-        class: usize,
-        from_group: usize,
-    ) -> Option<CachedRegion> {
         if x.is_empty() {
             // Zero-dimensional probes cannot be packed (a RowMatrix has at
             // least one column); fall back to the reference entry scan.
@@ -333,17 +317,9 @@ impl RegionCache {
             .with(|scratch| {
                 let s = &mut *scratch.borrow_mut();
                 fill_ln(&mut s.ln_probs, probs);
-                self.scan_pages(pages, x.as_slice(), class, from_group, s)
+                self.scan_pages(pages, x.as_slice(), class, s)
             })
             .map(|slot| self.serve(slot))
-    }
-
-    /// The number of region groups currently packed for `(class, dim)` —
-    /// a watermark for [`RegionCache::lookup_probe_from`] delta scans.
-    pub fn group_watermark(&self, class: usize, dim: usize) -> usize {
-        self.blocks
-            .get(&(class, dim))
-            .map_or(0, |pages| pages.iter().map(|p| p.groups.len()).sum())
     }
 
     /// Batched black-box lookup: resolves every probe whose `results` slot
@@ -427,8 +403,8 @@ impl RegionCache {
         }
     }
 
-    /// Scans `pages` from group `from_group` (counted across pages) on,
-    /// returning the first slot whose group verdict passes. Like the
+    /// Scans `pages` in order, returning the first slot whose group
+    /// verdict passes. Like the
     /// scalar test, which stops at a region's first failing contrast, a
     /// group is screened on its first row and evaluated in full only when
     /// that row passes, so a miss costs one row per region rather than
@@ -439,18 +415,12 @@ impl RegionCache {
         pages: &[Page],
         x: &[f64],
         class: usize,
-        from_group: usize,
         s: &mut Scratch,
     ) -> Option<usize> {
-        let mut skip = from_group;
         for page in pages {
-            if skip >= page.groups.len() {
-                skip -= page.groups.len();
-                continue;
-            }
             let mut rows = 0;
             let mut hit = None;
-            for (i, g) in page.groups.iter().enumerate().skip(skip) {
+            for (i, g) in page.groups.iter().enumerate() {
                 rows += 1;
                 if !self.rows_pass(page, g.start..g.start + 1, x, class, s) {
                     continue;
@@ -468,7 +438,6 @@ impl RegionCache {
             if hit.is_some() {
                 return hit;
             }
-            skip = 0;
         }
         None
     }
@@ -834,6 +803,14 @@ mod tests {
         cache.lookup_probe(&x, &probs, class)
     }
 
+    /// Region groups packed for `(class, dim)` across its pages.
+    fn packed_groups(cache: &RegionCache, class: usize, dim: usize) -> usize {
+        cache
+            .blocks
+            .get(&(class, dim))
+            .map_or(0, |pages| pages.iter().map(|p| p.groups.len()).sum())
+    }
+
     fn bounded(capacity: usize) -> RegionCache {
         RegionCache::new(RegionCacheConfig {
             capacity: Some(capacity),
@@ -1020,7 +997,7 @@ mod tests {
     }
 
     #[test]
-    fn pages_stay_consistent_across_removals_and_delta_scans() {
+    fn pages_stay_consistent_across_removals() {
         let mut cache = RegionCache::default();
         let x = Vector(vec![0.4]);
         for i in 0..300 {
@@ -1031,7 +1008,7 @@ mod tests {
             let fingerprint = interp(0, i as f64 + 0.5).fingerprint(6);
             assert_eq!(cache.evict_fingerprint(0, fingerprint), 1);
         }
-        assert_eq!(cache.group_watermark(0, 1), 171);
+        assert_eq!(packed_groups(&cache, 0, 1), 171);
         for j in 0..300 {
             let target = interp(0, j as f64 + 0.5);
             let probs = consistent_probs(&target, &x);
@@ -1039,33 +1016,6 @@ mod tests {
             let live = j >= 128 && j != 200;
             assert_eq!(hit, live.then_some(target), "region {j}");
         }
-        // Delta scans count groups across pages.
-        let probs = consistent_probs(&interp(0, 299.5), &x);
-        assert!(cache.lookup_probe_from(&x, &probs, 0, 150).is_some());
-        assert!(cache.lookup_probe_from(&x, &probs, 0, 171).is_none());
-    }
-
-    #[test]
-    fn delta_scans_see_only_groups_past_the_watermark() {
-        let mut cache = RegionCache::default();
-        let x = Vector(vec![0.9]);
-        insert(&mut cache, interp(0, 1.0));
-        let watermark = cache.group_watermark(0, 1);
-        assert_eq!(watermark, 1);
-        let old = interp(0, 1.0);
-        let old_probs = consistent_probs(&old, &x);
-        // The pre-watermark region is invisible to a delta scan...
-        assert!(cache
-            .lookup_probe_from(&x, &old_probs, 0, watermark)
-            .is_none());
-        // ...while a region admitted after the watermark is found.
-        let fresh = interp(0, 2.0);
-        insert(&mut cache, Arc::clone(&fresh));
-        let fresh_probs = consistent_probs(&fresh, &x);
-        let hit = cache
-            .lookup_probe_from(&x, &fresh_probs, 0, watermark)
-            .expect("fresh region visible to the delta scan");
-        assert_eq!(hit.interpretation, fresh);
     }
 
     #[test]
@@ -1077,7 +1027,7 @@ mod tests {
         assert_eq!(a.fingerprint, b.fingerprint);
         assert_eq!(a.interpretation, b.interpretation);
         // The merge left exactly one packed group behind.
-        assert_eq!(cache.group_watermark(0, 1), 1);
+        assert_eq!(packed_groups(&cache, 0, 1), 1);
     }
 
     #[test]
@@ -1132,7 +1082,7 @@ mod tests {
         cache.clear();
         assert!(cache.is_empty());
         assert_eq!(cache.evictions(), evicted);
-        assert_eq!(cache.group_watermark(0, 1), 0);
+        assert_eq!(packed_groups(&cache, 0, 1), 0);
         assert!(touch(&cache, 0, 4.0).is_none());
     }
 }

@@ -10,7 +10,7 @@
 
 use crate::equations::{ConsistencySolver, EquationSystem, Probe};
 use crate::error::InterpretError;
-use crate::openapi::{OpenApiConfig, OpenApiInterpreter};
+use crate::openapi::{validate_request, OpenApiConfig, OpenApiInterpreter};
 use crate::sampler::sample_many;
 use openapi_api::PredictionApi;
 use openapi_linalg::Vector;
@@ -61,13 +61,15 @@ pub fn estimate_region_edge<M: PredictionApi, R: Rng>(
         max_edge.is_finite() && max_edge > 0.0,
         "max_edge must be positive"
     );
+    // One probe of x⁰ serves both the convergence run and every growth
+    // step's system.
+    validate_request(api, x0.as_slice(), class)?;
+    let x0_probe = Probe::query(api, x0.clone());
     let interpreter = OpenApiInterpreter::new(config.clone());
-    let base = interpreter.interpret(api, x0, class, rng)?;
+    let base = interpreter.interpret_with_probe(api, x0_probe.clone(), class, rng)?;
     let mut queries = base.queries;
     let d = api.dim();
     let c_total = api.num_classes();
-    let x0_probe = Probe::query(api, x0.clone());
-    queries += 1;
 
     let mut consistent_edge = base.final_edge;
     let mut edge = base.final_edge * 2.0;
@@ -110,7 +112,7 @@ pub fn estimate_region_edge<M: PredictionApi, R: Rng>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use openapi_api::{LinearSoftmaxModel, LocalLinearModel, TwoRegionPlm};
+    use openapi_api::{CountingApi, LinearSoftmaxModel, LocalLinearModel, TwoRegionPlm};
     use openapi_linalg::Matrix;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -162,6 +164,26 @@ mod tests {
         );
         assert!(bracket.consistent_edge < upper);
         assert!(bracket.queries > 0);
+    }
+
+    #[test]
+    fn growth_steps_pay_d_plus_one_queries_each_and_x0_once() {
+        let api = CountingApi::new(linear_model());
+        let x0 = Vector(vec![0.3, 0.3]);
+        let config = OpenApiConfig::default();
+        let base = OpenApiInterpreter::new(config.clone())
+            .interpret(&api, &x0, 0, &mut StdRng::seed_from_u64(5))
+            .unwrap();
+        api.reset();
+        let bracket =
+            estimate_region_edge(&api, &x0, 0, &config, 8.0, &mut StdRng::seed_from_u64(5))
+                .unwrap();
+        let d = 2;
+        let growth = bracket.queries - base.queries;
+        assert!(growth > 0, "at least one growth step ran");
+        assert_eq!(growth % (d + 1), 0, "growth share {growth}");
+        assert_eq!(growth as u64, api.queries() - base.queries as u64);
+        assert_eq!(bracket.queries as u64, api.queries());
     }
 
     #[test]

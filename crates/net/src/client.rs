@@ -203,7 +203,9 @@ impl Client {
         self.next_nonce += 1;
         let start = clock::now();
         match self.call(&Request::Ping { nonce })? {
-            Response::Pong { nonce: echoed } if echoed == nonce => Ok(start.elapsed()),
+            Response::Pong { nonce: echoed } if echoed == nonce => {
+                Ok(clock::now().saturating_duration_since(start))
+            }
             Response::Pong { .. } => Err(ClientError::UnexpectedResponse {
                 expected: "pong with matching nonce",
             }),

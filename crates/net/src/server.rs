@@ -489,8 +489,8 @@ fn handle_request<M: PredictionApi + Send + Sync + 'static>(
                 return Slot::Ready(Box::new(Response::Error(busy(budget.limit()))));
             }
             // The batched fast lane: one membership probe per item, then a
-            // single blocked kernel pass over the shared cache's shards —
-            // not N sequential per-probe scans (see
+            // single blocked kernel pass over the shared cache — not N
+            // sequential per-probe scans (see
             // [`InterpretationService::submit_batch`]).
             let requests = items
                 .into_iter()

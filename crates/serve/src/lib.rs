@@ -11,10 +11,11 @@
 //! with a region cache; this crate scales the same insight to many client
 //! threads:
 //!
-//! * [`SharedRegionCache`] — N shards of [`openapi_core::RegionCache`]
-//!   keyed by [`openapi_core::RegionFingerprint`], each behind a
-//!   `openapi_sync::RwLock`, with a capacity bound and CLOCK eviction so
-//!   memory stays flat under millions of distinct regions. Slots hold
+//! * [`SharedRegionCache`] — one [`openapi_core::RegionCache`] keyed by
+//!   [`openapi_core::RegionFingerprint`] behind an `openapi_sync::RwLock`,
+//!   with a capacity bound and CLOCK eviction so memory stays flat under
+//!   millions of distinct regions, and the store's lookup order: a probe
+//!   resolves to the first admitted region that explains it. Slots hold
 //!   `Arc<Interpretation>`, so a hit is a reference-count bump, never a
 //!   multi-KB parameter copy. Warm start across restarts is the durable
 //!   store's job (below).
@@ -102,7 +103,7 @@
 //! ```text
 //! submit(x, c) ──► queue ──► worker: probe x (1 query)
 //!                              │
-//!                              ├─ shard lookup ──► hit ──► reply (cached, exact)
+//!                              ├─ cache lookup ──► hit ──► reply (cached, exact)
 //!                              │
 //!                              ├─ durable store lookup (if attached)
 //!                              │    └─ hit ──► promote to cache ──► reply (store, exact)
@@ -111,7 +112,7 @@
 //!                              │    └─ yes ──► park as waiter (coalesce)
 //!                              │
 //!                              └─ no ──► lead Algorithm-1 solve (≤ N per class)
-//!                                         ├─ insert region into shard (may evict)
+//!                                         ├─ insert region into cache (may evict)
 //!                                         ├─ append region to store WAL (async fsync)
 //!                                         ├─ reply to leader
 //!                                         └─ for each waiter:

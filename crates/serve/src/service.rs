@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 pub struct ServiceConfig {
     /// Worker threads (clamped to ≥ 1).
     pub workers: usize,
-    /// Shared-cache sharding and capacity.
+    /// Shared-cache capacity and membership tolerance.
     pub cache: SharedCacheConfig,
     /// Configuration of the per-region Algorithm-1 solves. The default
     /// pre-screens each rung ([`EdgeSearch::PreScreen`]): the same exact
@@ -501,8 +501,8 @@ impl<M: PredictionApi + Send + Sync + 'static> InterpretationService<M> {
     /// Submits a batch of requests through the warm-path fast lane: every
     /// request is probed on the caller thread (one prediction query each —
     /// the same query the per-request path pays), then the whole batch is
-    /// resolved against the shared cache in **one blocked kernel pass per
-    /// shard** ([`SharedRegionCache::lookup_probe_batch`]) instead of N
+    /// resolved against the shared cache in **one blocked kernel pass**
+    /// ([`SharedRegionCache::lookup_probe_batch`]) instead of N
     /// sequential scans. Hits complete immediately; misses carry their
     /// probe to the worker pool and take the ordinary solve path (store
     /// lookup, coalescing, Algorithm 1), so outcomes, query accounting,
@@ -553,7 +553,7 @@ impl<M: PredictionApi + Send + Sync + 'static> InterpretationService<M> {
             pending.push((job, probs));
         }
 
-        // One batched membership pass across the shards.
+        // One batched membership pass over the shared cache.
         let probes: Vec<ProbeRef<'_>> = pending
             .iter()
             .map(|(job, probs)| ProbeRef {
@@ -939,7 +939,7 @@ fn served(job: &Job, region: CachedRegion, outcome: ServeOutcome) -> Served {
         fingerprint: region.fingerprint,
         outcome,
         queries: job.queries_spent,
-        latency: job.submitted.elapsed(),
+        latency: clock::now().saturating_duration_since(job.submitted),
         span: job.span.id(),
     }
 }

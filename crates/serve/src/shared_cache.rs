@@ -1,16 +1,18 @@
-//! The sharded, thread-safe region cache.
+//! The thread-safe region cache.
 //!
-//! [`SharedRegionCache`] spreads one [`RegionCache`] per shard behind an
-//! `openapi_sync::RwLock`. Inserts route by [`RegionFingerprint`] (shard =
-//! `fingerprint mod N`), so write contention is diluted N ways; lookups
-//! cannot know a probe's fingerprint before solving (that would require the
-//! very parameters being looked up), so they scan the shards under read
-//! locks — many concurrent readers proceed in parallel, and the membership
-//! test per entry is a handful of dot products.
+//! [`SharedRegionCache`] puts one [`RegionCache`] behind an
+//! `openapi_sync::RwLock`. Lookups take the read lock, so concurrent
+//! readers proceed in parallel, and the membership test per entry is a
+//! handful of dot products. Lookups cannot know a probe's fingerprint
+//! before solving (that would require the very parameters being looked
+//! up), so every lookup scans the class's packed boundaries; inserts and
+//! evictions take the write lock.
 //!
-//! Each shard carries `⌈capacity / N⌉` entries at most, evicted CLOCK-wise
-//! (see [`RegionCache`]), so the whole cache stays within its configured
-//! bound no matter how many distinct regions traffic touches.
+//! One cache means one lookup order: a probe resolves to the first
+//! admitted region that explains it, as in the store and the batch layer.
+//! The cache holds at most `capacity` entries, evicted CLOCK-wise (see
+//! [`RegionCache`]), so it stays within its configured bound no matter how
+//! many distinct regions traffic touches.
 
 use openapi_core::cache::{CachedRegion, ProbeRef, RegionCache, RegionCacheConfig};
 use openapi_core::decision::{Interpretation, RegionFingerprint};
@@ -22,18 +24,15 @@ use std::sync::Arc;
 /// Configuration of a [`SharedRegionCache`].
 #[derive(Debug, Clone)]
 pub struct SharedCacheConfig {
-    /// Number of shards (clamped to ≥ 1). More shards → less write
-    /// contention; lookups scan all of them, so keep it moderate.
-    pub shards: usize,
-    /// Total capacity bound across all shards (clamped to ≥ `shards`).
+    /// Capacity bound (clamped to ≥ 1).
     pub capacity: usize,
     /// Membership-test tolerance (see
-    /// [`openapi_core::batch::BatchConfig::membership_rtol`]).
+    /// [`openapi_core::cache::RegionCacheConfig::membership_rtol`]).
     pub membership_rtol: f64,
     /// Fingerprint canonicalization digits: inserts key each region by
     /// its parameters' fingerprint at this precision.
     pub fingerprint_digits: u32,
-    /// Kernel backend every shard's blocked membership scan runs on (see
+    /// Kernel backend the blocked membership scan runs on (see
     /// [`openapi_linalg::kernel`]); backends are bit-identical by
     /// contract.
     pub backend: Arc<dyn Backend>,
@@ -43,7 +42,6 @@ impl Default for SharedCacheConfig {
     fn default() -> Self {
         let base = RegionCacheConfig::default();
         SharedCacheConfig {
-            shards: 8,
             capacity: 4096,
             membership_rtol: base.membership_rtol,
             fingerprint_digits: openapi_core::batch::BatchConfig::default().fingerprint_digits,
@@ -52,30 +50,24 @@ impl Default for SharedCacheConfig {
     }
 }
 
-/// The sharded concurrent region cache (see the module docs).
+/// The concurrent region cache (see the module docs).
 #[derive(Debug)]
 pub struct SharedRegionCache {
-    shards: Vec<RwLock<RegionCache>>,
+    cache: RwLock<RegionCache>,
     config: SharedCacheConfig,
 }
 
 impl SharedRegionCache {
-    /// Creates an empty cache with the given sharding and capacity.
+    /// Creates an empty cache with the given capacity.
     pub fn new(config: SharedCacheConfig) -> Self {
         let mut config = config;
-        config.shards = config.shards.max(1);
-        config.capacity = config.capacity.max(config.shards);
-        let per_shard = config.capacity.div_ceil(config.shards);
-        let shards = (0..config.shards)
-            .map(|_| {
-                RwLock::new(RegionCache::new(RegionCacheConfig {
-                    membership_rtol: config.membership_rtol,
-                    capacity: Some(per_shard),
-                    backend: Arc::clone(&config.backend),
-                }))
-            })
-            .collect();
-        SharedRegionCache { shards, config }
+        config.capacity = config.capacity.max(1);
+        let cache = RwLock::new(RegionCache::new(RegionCacheConfig {
+            membership_rtol: config.membership_rtol,
+            capacity: Some(config.capacity),
+            backend: Arc::clone(&config.backend),
+        }));
+        SharedRegionCache { cache, config }
     }
 
     /// Borrow the (clamped) configuration.
@@ -83,51 +75,43 @@ impl SharedRegionCache {
         &self.config
     }
 
-    /// Total capacity bound (per-shard bound × shard count; ≥ the
-    /// configured capacity because per-shard capacity rounds up).
+    /// The capacity bound.
     pub fn capacity(&self) -> usize {
-        self.config.capacity.div_ceil(self.config.shards) * self.config.shards
+        self.config.capacity
     }
 
-    /// Regions currently cached across all shards.
+    /// Regions currently cached.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
+        self.cache.read().len()
     }
 
     /// Whether no regions are cached.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.read().is_empty())
+        self.cache.read().is_empty()
     }
 
-    /// Regions evicted across all shards since construction.
+    /// Regions evicted since construction.
     pub fn evictions(&self) -> u64 {
-        self.shards.iter().map(|s| s.read().evictions()).sum()
+        self.cache.read().evictions()
     }
 
     /// Drops every cached region.
     pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.write().clear();
-        }
+        self.cache.write().clear();
     }
 
-    /// Black-box membership lookup across the shards (read locks only).
-    /// Returns the first cached region of `class` whose core parameters
-    /// explain the prediction `probs` observed at `x`.
+    /// Black-box membership lookup under the read lock: the first cached
+    /// region of `class` whose core parameters explain the prediction
+    /// `probs` observed at `x`.
     pub fn lookup_probe(&self, x: &Vector, probs: &[f64], class: usize) -> Option<CachedRegion> {
-        self.shards
-            .iter()
-            .find_map(|shard| shard.read().lookup_probe(x, probs, class))
+        self.cache.read().lookup_probe(x, probs, class)
     }
 
     /// Batched black-box lookup: resolves every probe whose `results` slot
-    /// is `None`, writing hits in place. Each shard is visited **once**
-    /// for the whole batch (one read lock, one blocked kernel pass over
-    /// its packed boundaries — see
+    /// is `None`, writing hits in place, in one read lock and one blocked
+    /// kernel pass over the packed boundaries (see
     /// [`openapi_core::cache::RegionCache::lookup_probe_batch`]) instead
-    /// of once per probe; probes already resolved stop participating at
-    /// later shards, preserving the shard-order semantics of
-    /// [`SharedRegionCache::lookup_probe`].
+    /// of one scan per probe.
     ///
     /// # Panics
     /// When `probes.len() != results.len()`.
@@ -136,39 +120,26 @@ impl SharedRegionCache {
         probes: &[ProbeRef<'_>],
         results: &mut [Option<CachedRegion>],
     ) {
-        assert_eq!(probes.len(), results.len(), "probes/results must align");
-        for shard in &self.shards {
-            if results.iter().all(Option::is_some) {
-                break;
-            }
-            shard.read().lookup_probe_batch(probes, results);
-        }
+        self.cache.read().lookup_probe_batch(probes, results);
     }
 
-    /// Admits a freshly solved (or store-recovered) region into its
-    /// fingerprint's shard, returning the entry that ends up cached (the
+    /// Admits a freshly solved (or store-recovered) region under its
+    /// fingerprint, returning the entry that ends up cached (the
     /// canonical one if an agreeing entry already existed — see
     /// [`RegionCache::insert`]). Takes an [`Arc`] so admission from
     /// another tier never copies the parameter payload.
     pub fn insert(&self, interpretation: Arc<Interpretation>) -> CachedRegion {
         let fingerprint = interpretation.fingerprint(self.config.fingerprint_digits);
-        let shard = (fingerprint.0 % self.shards.len() as u64) as usize;
-        let (cached, _) = self.shards[shard]
-            .write()
-            .insert(fingerprint, interpretation);
+        let (cached, _) = self.cache.write().insert(fingerprint, interpretation);
         cached
     }
 
-    /// Drops every cached entry of `class` keyed by `fingerprint` across
-    /// all shards (inserts route by fingerprint, but collision
-    /// fallbacks can land entries anywhere, so the sweep checks
-    /// every shard). The drift detector's cache half; returns the number
-    /// of entries removed.
+    /// Drops every cached entry of `class` keyed by `fingerprint`
+    /// (collision fallbacks included — see
+    /// [`RegionCache::evict_fingerprint`]). The drift detector's cache
+    /// half; returns the number of entries removed.
     pub fn evict(&self, class: usize, fingerprint: RegionFingerprint) -> usize {
-        self.shards
-            .iter()
-            .map(|shard| shard.write().evict_fingerprint(class, fingerprint))
-            .sum()
+        self.cache.write().evict_fingerprint(class, fingerprint)
     }
 }
 
@@ -205,7 +176,7 @@ mod tests {
     }
 
     #[test]
-    fn insert_then_lookup_roundtrips_through_the_shards() {
+    fn insert_then_lookup_roundtrips() {
         let cache = SharedRegionCache::new(SharedCacheConfig::default());
         let x = Vector(vec![0.3, -0.8]);
         for w in 1..=16 {
@@ -216,21 +187,18 @@ mod tests {
         let probs = consistent_probs(&target, &x);
         let hit = cache.lookup_probe(&x, &probs, 0).expect("region 7 cached");
         assert_eq!(hit.interpretation, target);
-        // A probe no cached region explains misses every shard.
+        // A probe no cached region explains misses.
         assert!(cache.lookup_probe(&x, &[0.31, 0.69], 0).is_none());
     }
 
     #[test]
-    fn batched_lookup_matches_per_probe_lookup_across_shards() {
-        let cache = SharedRegionCache::new(SharedCacheConfig {
-            shards: 4,
-            ..SharedCacheConfig::default()
-        });
+    fn batched_lookup_matches_per_probe_lookup() {
+        let cache = SharedRegionCache::new(SharedCacheConfig::default());
         let x = Vector(vec![0.3, -0.8]);
         for w in 1..=32 {
             cache.insert(interp(0, w as f64));
         }
-        // Probes spread across every shard, plus one that misses and one
+        // Probes spread over the admission order, plus one that misses and one
         // pre-resolved slot that must be left alone.
         let targets: Vec<_> = [3, 8, 17, 30, 11].map(|w| interp(0, w as f64)).to_vec();
         let probs: Vec<Vec<f64>> = targets.iter().map(|t| consistent_probs(t, &x)).collect();
@@ -256,11 +224,8 @@ mod tests {
     }
 
     #[test]
-    fn evict_sweeps_every_shard_and_only_the_named_region() {
-        let cache = SharedRegionCache::new(SharedCacheConfig {
-            shards: 4,
-            ..SharedCacheConfig::default()
-        });
+    fn evict_drops_only_the_named_region() {
+        let cache = SharedRegionCache::new(SharedCacheConfig::default());
         let x = Vector(vec![0.3, -0.8]);
         for w in 1..=16 {
             cache.insert(interp(0, w as f64));
@@ -290,35 +255,35 @@ mod tests {
     }
 
     #[test]
-    fn capacity_bound_holds_across_shards() {
+    fn capacity_bound_holds() {
         let cache = SharedRegionCache::new(SharedCacheConfig {
-            shards: 4,
             capacity: 16,
             ..SharedCacheConfig::default()
         });
+        assert_eq!(cache.capacity(), 16);
         for w in 0..200 {
             cache.insert(interp(0, w as f64 + 0.5));
         }
-        assert!(cache.len() <= cache.capacity());
-        assert!(cache.evictions() > 0);
+        assert_eq!(cache.len(), 16);
+        assert_eq!(cache.evictions(), 184);
     }
 
     #[test]
     fn degenerate_configs_are_clamped() {
         let cache = SharedRegionCache::new(SharedCacheConfig {
-            shards: 0,
             capacity: 0,
             ..SharedCacheConfig::default()
         });
+        assert_eq!(cache.capacity(), 1);
         cache.insert(interp(0, 1.0));
+        cache.insert(interp(0, 2.0));
         assert_eq!(cache.len(), 1);
-        assert_eq!(cache.config().shards, 1);
+        assert_eq!(cache.config().capacity, 1);
     }
 
     #[test]
     fn concurrent_readers_and_writers_stay_consistent() {
         let cache = SharedRegionCache::new(SharedCacheConfig {
-            shards: 4,
             capacity: 64,
             ..SharedCacheConfig::default()
         });

@@ -1,8 +1,8 @@
 //! The serving tier's single time source.
 //!
-//! `cargo xtask lint` forbids direct `Instant::now()`/`SystemTime` use in
-//! the serving crates (`openapi-serve`, `openapi-net`, `openapi-store`)
-//! outside this module, so every latency measurement flows through one
+//! `cargo xtask lint` forbids direct `Instant::now()`, `Instant::elapsed()`
+//! and `SystemTime` use in the serving crates (`openapi-serve`,
+//! `openapi-net`, `openapi-store`, `openapi-fabric`) outside this module, so every latency measurement flows through one
 //! place — the hook point for a future virtual clock, and the guarantee
 //! that trace timestamps and stage histograms share an epoch.
 //!

@@ -18,8 +18,9 @@
 //!    float literal outside the kernel bit-identity oracle paths, unless
 //!    justified with a `// float:` comment. (Comparisons against exactly
 //!    `0.0` are IEEE-exact guards and allowed.)
-//! 5. **clock** — no direct `Instant::now()` or `SystemTime` in the
-//!    serving-path crates (`serve`, `net`, `store`, `trace`); time is read
+//! 5. **clock** — no direct `Instant::now()`, `Instant::elapsed()` (which
+//!    reads the OS clock itself) or `SystemTime` in the serving-path crates
+//!    (`serve`, `net`, `store`, `trace`, `fabric`); time is read
 //!    through `openapi_trace::clock` so every latency measurement and trace
 //!    timestamp shares one clock domain (and one place to virtualize it).
 //!    The clock module itself is the single exemption; anything else needs
@@ -330,6 +331,11 @@ fn check_clock(rel: &str, lines: &[SplitLine], out: &mut Vec<Violation>) {
     for (idx, l) in lines.iter().enumerate() {
         let offense = if l.code.contains("Instant::now(") {
             Some("direct `Instant::now()` in a serving crate; use `openapi_trace::clock::now()`")
+        } else if l.code.contains(".elapsed(") {
+            Some(
+                "`.elapsed()` reads the OS clock in a serving crate; use \
+                 `openapi_trace::clock::now().saturating_duration_since(start)`",
+            )
         } else if l.code.contains("SystemTime") {
             Some("`SystemTime` in a serving crate; read time through `openapi_trace::clock`")
         } else {
@@ -579,6 +585,18 @@ mod tests {
         assert_eq!(rules("crates/store/src/x.rs", src), ["clock"]);
         let qualified = "let t0 = std::time::Instant::now();\n";
         assert_eq!(rules("crates/net/src/x.rs", qualified), ["clock"]);
+    }
+
+    #[test]
+    fn elapsed_in_serving_crates_is_flagged() {
+        let src = "let rtt = start.elapsed();\n";
+        assert_eq!(rules("crates/serve/src/x.rs", src), ["clock"]);
+        assert_eq!(rules("crates/net/src/x.rs", src), ["clock"]);
+        assert_eq!(rules("crates/fabric/src/x.rs", src), ["clock"]);
+        // The clock's own spelling passes, and measurement crates are exempt.
+        let via_clock = "let rtt = clock::now().saturating_duration_since(start);\n";
+        assert_eq!(rules("crates/net/src/x.rs", via_clock), Vec::<&str>::new());
+        assert_eq!(rules("crates/eval/src/x.rs", src), Vec::<&str>::new());
     }
 
     #[test]

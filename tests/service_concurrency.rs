@@ -33,7 +33,6 @@ fn hammered_service_stays_exact_bounded_and_accounted() {
         ServiceConfig {
             workers: 4,
             cache: SharedCacheConfig {
-                shards: 4,
                 capacity: 32,
                 ..SharedCacheConfig::default()
             },
@@ -137,7 +136,6 @@ fn capacity_bound_holds_under_many_distinct_regions() {
         ServiceConfig {
             workers: 3,
             cache: SharedCacheConfig {
-                shards: 2,
                 capacity: 2,
                 ..SharedCacheConfig::default()
             },

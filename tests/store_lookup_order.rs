@@ -5,7 +5,9 @@
 //! admitted* live region of the probed class whose parameters explain the
 //! probe (`Interpretation::explains_probe`), exactly as a reference scan
 //! over the admitted regions computes it. The same holds after a close and
-//! reopen, with or without a compaction before the close.
+//! reopen, with or without a compaction before the close. The serving
+//! tier's `SharedRegionCache`, replayed the same live regions in admission
+//! order, resolves every probe to the same interpretation.
 //!
 //! Admission itself is read off `append`'s return value, so the reference
 //! pins lookup order and tombstone suppression without re-deriving the
@@ -112,6 +114,29 @@ fn check(
     Ok(())
 }
 
+/// Every probe resolves on a `SharedRegionCache` that admitted the live
+/// regions in order to the reference scan's interpretation. Fingerprints
+/// are not compared: the cache keys each region by its own fingerprint.
+fn check_service_cache(
+    admitted: &Admitted,
+    probes: &[(Vector, Vec<f64>, usize)],
+    rtol: f64,
+) -> Result<(), TestCaseError> {
+    let cache = SharedRegionCache::new(SharedCacheConfig::default());
+    prop_assert_eq!(cache.config().membership_rtol, rtol);
+    for (_, i) in admitted {
+        cache.insert(Arc::clone(i));
+    }
+    for (x, probs, class) in probes {
+        let got = cache
+            .lookup_probe(x, probs, *class)
+            .map(|hit| hit.interpretation.as_ref().clone());
+        let want = reference(admitted, x, probs, *class, rtol).map(|(_, i)| i);
+        prop_assert_eq!(got, want, "probe {:?} of class {}", x, class);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -189,6 +214,7 @@ proptest! {
             probes.push((x, probs, class));
         }
         check(&store, &admitted, &probes, rtol)?;
+        check_service_cache(&admitted, &probes, rtol)?;
 
         if rng.gen_bool(0.5) {
             store.compact().unwrap();
