@@ -227,12 +227,17 @@ impl BatchInterpreter {
         class: usize,
         rng: &mut R,
     ) -> BatchOutcome {
-        let mut stats = new_stats(instances.len());
+        let mut stats = BatchStats {
+            instances: instances.len(),
+            ..BatchStats::default()
+        };
         let results = instances
             .iter()
             .map(|x| self.interpret_one(api, x, class, rng, &mut stats))
             .collect();
-        self.finish(class, &mut stats);
+        stats.regions = self.cache.class_len(class);
+        self.lifetime.absorb(&stats);
+        self.lifetime.regions = self.cache.len();
         BatchOutcome { results, stats }
     }
 
@@ -292,20 +297,6 @@ impl BatchInterpreter {
             cache_hit: false,
             queries,
         }
-    }
-
-    /// Finalizes a batch's stats and folds them into the lifetime totals.
-    fn finish(&mut self, class: usize, stats: &mut BatchStats) {
-        stats.regions = self.cache.class_len(class);
-        self.lifetime.absorb(stats);
-        self.lifetime.regions = self.cache.len();
-    }
-}
-
-fn new_stats(instances: usize) -> BatchStats {
-    BatchStats {
-        instances,
-        ..BatchStats::default()
     }
 }
 
@@ -629,6 +620,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let out = batch.interpret_batch(&api, &[], 0, &mut rng);
         assert!(out.results.is_empty());
-        assert_eq!(out.stats, new_stats(0));
+        assert_eq!(out.stats, BatchStats::default());
     }
 }

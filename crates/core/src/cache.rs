@@ -404,12 +404,11 @@ impl RegionCache {
     }
 
     /// Scans `pages` in order, returning the first slot whose group
-    /// verdict passes. Like the
-    /// scalar test, which stops at a region's first failing contrast, a
-    /// group is screened on its first row and evaluated in full only when
-    /// that row passes, so a miss costs one row per region rather than
-    /// `C − 1`. A group passes only when every row does, so the screen
-    /// never changes a verdict.
+    /// verdict passes. Like the scalar test, which stops at a region's
+    /// first failing contrast, a group is screened on its first row and
+    /// evaluated in full only when that row passes, so a miss costs one
+    /// row per region rather than `C − 1`. A group passes only when every
+    /// row does, so the screen never changes a verdict.
     fn scan_pages(
         &self,
         pages: &[Page],
