@@ -78,3 +78,52 @@ fn near_boundary_two_region_solves_are_pinned() {
     ];
     assert_eq!(got, want);
 }
+
+#[test]
+fn linear_model_rung_logs_are_pinned() {
+    let x0 = [0.3, -0.2, 0.5, 0.1];
+    let got: Vec<_> = (0..4)
+        .map(|class| {
+            golden::rungs(
+                OpenApiConfig::default(),
+                linear_model(),
+                &x0,
+                class,
+                100 + class as u64,
+            )
+        })
+        .collect();
+    let want = [
+        0x2e54_880b_d09c_72ac,
+        0x3e40_3bc0_edeb_0d6c,
+        0x25c1_525f_cb77_e590,
+        0xf787_2e28_f88e_6292,
+    ];
+    assert_eq!(got, want);
+}
+
+#[test]
+fn near_boundary_two_region_rung_logs_are_pinned() {
+    let x0 = [0.49, 0.3];
+    let got: Vec<_> = (0..6)
+        .map(|seed| {
+            let class = (seed % 2) as usize;
+            golden::rungs(
+                OpenApiConfig::default(),
+                two_region_model(),
+                &x0,
+                class,
+                seed,
+            )
+        })
+        .collect();
+    let want = [
+        0x0c19_c351_0ac5_139a,
+        0xc68a_f738_2ebb_60e0,
+        0xac1e_1d09_859d_f6b6,
+        0xf4ed_86a9_f305_fdb3,
+        0x54d0_bc58_8001_81df,
+        0x661d_08cc_46e4_7e77,
+    ];
+    assert_eq!(got, want);
+}

@@ -11,17 +11,20 @@ use openapi_api::{LocalLinearModel, TwoRegionPlm};
 use openapi_core::{EdgeSearch, OpenApiConfig};
 use openapi_linalg::{Matrix, Vector};
 
+fn prescreen() -> OpenApiConfig {
+    OpenApiConfig {
+        edge_search: EdgeSearch::PreScreen,
+        ..OpenApiConfig::default()
+    }
+}
+
 fn solve<M: openapi_api::PredictionApi>(
     model: M,
     x0: &[f64],
     class: usize,
     seed: u64,
 ) -> (usize, u64, u64) {
-    let config = OpenApiConfig {
-        edge_search: EdgeSearch::PreScreen,
-        ..OpenApiConfig::default()
-    };
-    golden::solve(config, model, x0, class, seed)
+    golden::solve(prescreen(), model, x0, class, seed)
 }
 
 /// The d=35, C=3 two-region model of the `openapi` unit tests, split at
@@ -75,6 +78,54 @@ fn wide_two_region_solves_near_the_split_are_pinned() {
         (8, 95, 0x4a06_e9a4_42c1_6ea4),
         (8, 77, 0x3075_e605_6b2d_369d),
         (8, 69, 0x1151_3467_e5c2_4df0),
+    ];
+    assert_eq!(got, want);
+}
+
+#[test]
+fn reference_fixture_rung_logs_are_pinned() {
+    let got: Vec<_> = (0..6)
+        .map(|seed| {
+            let mut x0 = TwoRegionPlm::reference_instance(seed);
+            x0[1] = 0.24;
+            let class = seed % 3;
+            golden::rungs(
+                prescreen(),
+                TwoRegionPlm::reference(),
+                x0.as_slice(),
+                class,
+                seed as u64,
+            )
+        })
+        .collect();
+    let want = [
+        0x1d74_021e_b6a1_cd93,
+        0x6d08_5f57_9411_1d85,
+        0xbadf_1b6b_c62f_124d,
+        0x837e_6ab8_eba7_f31d,
+        0x4eb4_28cd_9151_b2d9,
+        0x0b1e_4f2e_67b8_aecf,
+    ];
+    assert_eq!(got, want);
+}
+
+#[test]
+fn wide_two_region_rung_logs_are_pinned() {
+    let mut x0 = vec![0.1; 35];
+    x0[0] = 0.49;
+    let got: Vec<_> = (0..6)
+        .map(|seed| {
+            let class = (seed % 3) as usize;
+            golden::rungs(prescreen(), wide_two_region_model(), &x0, class, seed)
+        })
+        .collect();
+    let want = [
+        0x1bbf_08ad_5914_bca2,
+        0x5340_6348_7ce0_a65f,
+        0x23ac_a7e1_5711_b005,
+        0xe583_16ce_674b_30bf,
+        0x8842_94c8_4304_bfd9,
+        0x825c_5f10_19b8_0fc2,
     ];
     assert_eq!(got, want);
 }
