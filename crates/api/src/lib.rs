@@ -33,6 +33,6 @@ pub use chaos::{ApiError, ChaosApi, ChaosConfig, ChaosStats};
 pub use counter::CountingApi;
 pub use degrade::{NoisyApi, QuantizedApi};
 pub use linear::LinearSoftmaxModel;
-pub use probability::{log_ratio, softmax, stable_log_softmax};
+pub use probability::{clamped_ln, log_ratio, softmax, stable_log_softmax};
 pub use toy::TwoRegionPlm;
 pub use traits::{GradientOracle, GroundTruthOracle, LocalLinearModel, PredictionApi, RegionId};

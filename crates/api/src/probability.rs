@@ -50,9 +50,13 @@ pub fn stable_log_softmax(logits: &[f64]) -> Vector {
 /// # Panics
 /// Panics when either class index is out of range.
 pub fn log_ratio(probs: &[f64], c: usize, c_prime: usize) -> f64 {
-    let yc = probs[c].max(f64::MIN_POSITIVE);
-    let ycp = probs[c_prime].max(f64::MIN_POSITIVE);
-    yc.ln() - ycp.ln()
+    clamped_ln(probs[c]) - clamped_ln(probs[c_prime])
+}
+
+/// `ln(max(p, f64::MIN_POSITIVE))`: one term of [`log_ratio`], for callers
+/// that form many ratios against the same class.
+pub fn clamped_ln(p: f64) -> f64 {
+    p.max(f64::MIN_POSITIVE).ln()
 }
 
 #[cfg(test)]

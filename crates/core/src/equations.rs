@@ -9,21 +9,26 @@
 //!
 //! The *coefficient matrix* `[1 | xⁱ]` depends only on the sampled
 //! instances — it is shared across all `C − 1` contrasts — while the
-//! right-hand side depends on the class pair. [`ConsistencySolver`] exploits
-//! this: it factors the matrix once (LU of the leading square block, or QR
-//! of the full system) and then checks every contrast with cheap
-//! back-substitutions. For `C = 10`, that is a 9× saving over re-factoring
-//! per contrast, without changing any semantics of Algorithm 1.
+//! right-hand side depends on the class pair. [`ConsistencySolver`]
+//! exploits this: it factors the matrix once (LU of the leading square
+//! block, or QR of the full system), and [`ConsistencySolver::check_many`]
+//! then checks every contrast from one pass over the LU factors
+//! ([`LuFactor::solve_many`]) on the right-hand sides of
+//! [`EquationSystem::rhs_many`]. For `C = 10` that is one factorization and
+//! one side-by-side substitution instead of nine of each, with every
+//! contrast's solution bit for bit what a solve of its own would give, so
+//! no semantics of Algorithm 1 change.
 //!
-//! [`ConsistencySolver::check`] is the workspace's one Theorem-2
-//! consistency check: Algorithm 1 accepts a rung on its verdicts, and its
-//! held-out sweep runs on the blocked kernel
-//! ([`Backend::residual_inf`]).
+//! [`ConsistencySolver::check_many`] is the workspace's one Theorem-2
+//! consistency check ([`ConsistencySolver::check`] is it with one
+//! contrast): Algorithm 1 accepts a rung on its verdicts, and its held-out
+//! sweep runs on the blocked kernel ([`Backend::residual_inf`]).
 
 use crate::decision::PairwiseCoreParams;
-use openapi_api::{log_ratio, PredictionApi};
+use openapi_api::{clamped_ln, PredictionApi};
 use openapi_linalg::kernel::{Backend, BlockedBackend};
 use openapi_linalg::{LinalgError, LuFactor, Matrix, QrFactor, Vector};
+use std::sync::OnceLock;
 
 /// One queried instance and the API's prediction for it.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,11 +50,14 @@ impl Probe {
 /// The assembled equation system for a fixed set of probes.
 ///
 /// Row `i` of the coefficient matrix is `[1, xⁱ_1, …, xⁱ_d]` (bias column
-/// first); the unknown vector is `[B_{c,c'}, D_{c,c'}]`.
+/// first); the unknown vector is `[B_{c,c'}, D_{c,c'}]`. The full matrix is
+/// built only when [`EquationSystem::coefficients`] asks for it:
+/// [`ConsistencySolver`] copies just the rows it factors straight from the
+/// probes.
 #[derive(Debug, Clone)]
 pub struct EquationSystem {
-    coeffs: Matrix,
     probes: Vec<Probe>,
+    coeffs: OnceLock<Matrix>,
 }
 
 impl EquationSystem {
@@ -65,14 +73,10 @@ impl EquationSystem {
             probes.iter().all(|p| p.x.len() == d),
             "probe dimensions inconsistent"
         );
-        let coeffs = Matrix::from_fn(probes.len(), d + 1, |r, c| {
-            if c == 0 {
-                1.0
-            } else {
-                probes[r].x[c - 1]
-            }
-        });
-        EquationSystem { coeffs, probes }
+        EquationSystem {
+            probes,
+            coeffs: OnceLock::new(),
+        }
     }
 
     /// Number of equations (probes).
@@ -82,7 +86,7 @@ impl EquationSystem {
 
     /// Number of unknowns (`d + 1`).
     pub fn unknowns(&self) -> usize {
-        self.coeffs.cols()
+        self.probes[0].x.len() + 1
     }
 
     /// The right-hand side for contrast `(c, c')`: `ln(yⁱ_c / yⁱ_{c'})` per
@@ -91,21 +95,54 @@ impl EquationSystem {
     /// # Panics
     /// Panics when either class index is out of range.
     pub fn rhs(&self, c: usize, c_prime: usize) -> Vec<f64> {
-        self.probes
-            .iter()
-            .map(|p| log_ratio(p.probs.as_slice(), c, c_prime))
-            .collect()
+        self.rhs_many(c, &[c_prime]).as_slice().to_vec()
     }
 
-    /// Borrow the coefficient matrix.
+    /// The right-hand sides of the contrasts `(c, c_primes[j])` side by
+    /// side: a `rows() × c_primes.len()` matrix whose column `j` is
+    /// [`EquationSystem::rhs`]`(c, c_primes[j])`. One pass over the probes
+    /// takes each class's clamped `ln` once per probe; each entry is the
+    /// difference of two of them, exactly as [`openapi_api::log_ratio`]
+    /// forms it.
+    ///
+    /// # Panics
+    /// Panics when a class index is out of range.
+    pub fn rhs_many(&self, c: usize, c_primes: &[usize]) -> Matrix {
+        let mut data = Vec::with_capacity(self.rows() * c_primes.len());
+        for p in &self.probes {
+            let ln_c = clamped_ln(p.probs[c]);
+            data.extend(c_primes.iter().map(|&cp| ln_c - clamped_ln(p.probs[cp])));
+        }
+        Matrix::from_vec(self.rows(), c_primes.len(), data)
+            .expect("one entry per probe and contrast")
+    }
+
+    /// Borrow the coefficient matrix (built on first use).
     pub fn coefficients(&self) -> &Matrix {
-        &self.coeffs
+        self.coeffs
+            .get_or_init(|| coefficient_rows(&self.probes, self.unknowns()))
     }
 
     /// Borrow the probes.
     pub fn probes(&self) -> &[Probe] {
         &self.probes
     }
+
+    /// Takes the probes back, in the order the system was built from.
+    pub fn into_probes(self) -> Vec<Probe> {
+        self.probes
+    }
+}
+
+/// The coefficient rows `[1 | xⁱ]` of `probes`, one per probe, each
+/// `cols = d + 1` wide.
+fn coefficient_rows(probes: &[Probe], cols: usize) -> Matrix {
+    let mut data = Vec::with_capacity(probes.len() * cols);
+    for p in probes {
+        data.push(1.0);
+        data.extend_from_slice(p.x.as_slice());
+    }
+    Matrix::from_vec(probes.len(), cols, data).expect("probe dimensions are checked")
 }
 
 /// Splits a solved unknown vector `[B, D…]` into core parameters.
@@ -136,7 +173,7 @@ pub enum ConsistencyStrategy {
     LeastSquares,
 }
 
-/// Verdict for one contrast from [`ConsistencySolver::check`].
+/// Verdict for one contrast from [`ConsistencySolver::check_many`].
 #[derive(Debug, Clone)]
 pub struct ContrastVerdict {
     /// The candidate core parameters (meaningful when `consistent`).
@@ -150,14 +187,23 @@ pub struct ContrastVerdict {
 }
 
 /// Factor-once solver for an *overdetermined* system (`rows ≥ unknowns + 1`)
-/// checked against many right-hand sides.
+/// checked against many right-hand sides. It keeps only what its strategy
+/// reads: the LU factors of the leading square block and the held-out rows,
+/// or the QR factors of the full system.
 #[derive(Debug)]
 pub struct ConsistencySolver {
-    strategy: ConsistencyStrategy,
     rtol: f64,
-    coeffs: Matrix,
-    lu: Option<LuFactor>,
-    qr: Option<QrFactor>,
+    rows: usize,
+    factor: Factor,
+}
+
+#[derive(Debug)]
+enum Factor {
+    /// [`ConsistencyStrategy::SquareThenCheck`]: the factored leading
+    /// `n × n` block and the remaining rows, whose residuals decide.
+    Square { lu: LuFactor, held_out: Matrix },
+    /// [`ConsistencyStrategy::LeastSquares`]: the factored full system.
+    LeastSquares(QrFactor),
 }
 
 impl ConsistencySolver {
@@ -182,64 +228,108 @@ impl ConsistencySolver {
                 found: m,
             });
         }
-        let coeffs = system.coefficients().clone();
-        let (lu, qr) = match strategy {
+        let factor = match strategy {
             ConsistencyStrategy::SquareThenCheck => {
-                let head = Matrix::from_fn(n, n, |r, c| coeffs[(r, c)]);
-                (Some(LuFactor::new(&head)?), None)
+                let (head, rest) = system.probes().split_at(n);
+                Factor::Square {
+                    lu: LuFactor::from_matrix(coefficient_rows(head, n))?,
+                    held_out: coefficient_rows(rest, n),
+                }
             }
-            ConsistencyStrategy::LeastSquares => (None, Some(QrFactor::new(&coeffs)?)),
+            ConsistencyStrategy::LeastSquares => {
+                Factor::LeastSquares(QrFactor::new(system.coefficients())?)
+            }
         };
         Ok(ConsistencySolver {
-            strategy,
             rtol,
-            coeffs,
-            lu,
-            qr,
+            rows: m,
+            factor,
         })
     }
 
-    /// Checks one contrast's right-hand side for consistency: the residual
-    /// is compared against `rtol · max(1, ‖rhs‖∞)` — the right-hand sides
-    /// are log-probability ratios, and the `max(1, ·)` floor keeps the test
+    /// Checks one contrast's right-hand side for consistency:
+    /// [`ConsistencySolver::check_many`] with one column.
+    ///
+    /// # Errors
+    /// As [`ConsistencySolver::check_many`].
+    ///
+    /// # Panics
+    /// Panics when `rhs.len() != rows`.
+    pub fn check(&self, rhs: &[f64], c_prime: usize) -> Result<ContrastVerdict, LinalgError> {
+        assert_eq!(rhs.len(), self.rows, "rhs length mismatch");
+        let rhs = Matrix::from_vec(rhs.len(), 1, rhs.to_vec())?;
+        Ok(self
+            .check_many(&rhs, &[c_prime])?
+            .pop()
+            .expect("one verdict per column"))
+    }
+
+    /// Checks every contrast at once: column `j` of `rhs` is the
+    /// right-hand side of contrast `c_primes[j]`, and verdict `j` answers
+    /// for it. Each residual is compared against
+    /// `rtol · max(1, ‖rhs_j‖∞)` — the right-hand sides are
+    /// log-probability ratios, and the `max(1, ·)` floor keeps the test
     /// meaningful when predictions are nearly uniform.
+    ///
+    /// On the LU path one [`LuFactor::solve_many`] call solves every
+    /// column, then each column's held-out rows are swept; the verdicts are
+    /// bit for bit those of checking each column alone.
     ///
     /// # Errors
     /// [`LinalgError::RankDeficient`] on the QR path when the factored
     /// matrix was rank deficient (treated as "resample" by Algorithm 1).
     ///
     /// # Panics
-    /// Panics when `rhs.len() != rows`.
-    pub fn check(&self, rhs: &[f64], c_prime: usize) -> Result<ContrastVerdict, LinalgError> {
-        let n = self.coeffs.cols();
-        assert_eq!(rhs.len(), self.coeffs.rows(), "rhs length mismatch");
-        let bscale = rhs.iter().fold(0.0f64, |s, v| s.max(v.abs())).max(1.0);
-        let threshold = self.rtol * bscale;
-        match self.strategy {
-            ConsistencyStrategy::SquareThenCheck => {
-                let lu = self.lu.as_ref().expect("strategy invariant");
-                let solution = lu.solve(&rhs[..n])?;
-                // Residuals of the held-out equations decide consistency
-                // (Theorem 2's Θ construction: any solution of Ω solves
-                // every Θ).
-                let worst = BlockedBackend.residual_inf(&self.coeffs, n, solution.as_slice(), rhs);
-                Ok(ContrastVerdict {
-                    params: unpack(solution, c_prime),
-                    residual: worst,
-                    threshold,
-                    consistent: worst <= threshold,
-                })
+    /// Panics when `rhs.rows() != rows` or `rhs.cols() != c_primes.len()`.
+    pub fn check_many(
+        &self,
+        rhs: &Matrix,
+        c_primes: &[usize],
+    ) -> Result<Vec<ContrastVerdict>, LinalgError> {
+        assert_eq!(rhs.rows(), self.rows, "rhs length mismatch");
+        assert_eq!(rhs.cols(), c_primes.len(), "one contrast per rhs column");
+        let verdict = |solution: Vector, c_prime: usize, residual: f64, b: &Vector| {
+            let bscale = b.iter().fold(0.0f64, |s, v| s.max(v.abs())).max(1.0);
+            let threshold = self.rtol * bscale;
+            ContrastVerdict {
+                params: unpack(solution, c_prime),
+                residual,
+                threshold,
+                consistent: residual <= threshold,
             }
-            ConsistencyStrategy::LeastSquares => {
-                let qr = self.qr.as_ref().expect("strategy invariant");
-                let (solution, residual) = qr.solve_lstsq(rhs)?;
-                Ok(ContrastVerdict {
-                    params: unpack(solution, c_prime),
-                    residual,
-                    threshold,
-                    consistent: residual <= threshold,
-                })
+        };
+        match &self.factor {
+            Factor::Square { lu, held_out } => {
+                let n = lu.dim();
+                let solutions =
+                    lu.solve_many(&Matrix::from_fn(n, rhs.cols(), |i, j| rhs[(i, j)]))?;
+                Ok(c_primes
+                    .iter()
+                    .enumerate()
+                    .map(|(j, &c_prime)| {
+                        let (solution, b) = (solutions.col(j), rhs.col(j));
+                        // Residuals of the held-out equations decide
+                        // consistency (Theorem 2's Θ construction: any
+                        // solution of Ω solves every Θ).
+                        let worst = BlockedBackend.residual_inf(
+                            held_out,
+                            0,
+                            solution.as_slice(),
+                            &b.as_slice()[n..],
+                        );
+                        verdict(solution, c_prime, worst, &b)
+                    })
+                    .collect())
             }
+            Factor::LeastSquares(qr) => c_primes
+                .iter()
+                .enumerate()
+                .map(|(j, &c_prime)| {
+                    let b = rhs.col(j);
+                    let (solution, residual) = qr.solve_lstsq(b.as_slice())?;
+                    Ok(verdict(solution, c_prime, residual, &b))
+                })
+                .collect(),
         }
     }
 }
@@ -257,14 +347,37 @@ pub fn solve_determined(
     c: usize,
     c_prime: usize,
 ) -> Result<PairwiseCoreParams, LinalgError> {
+    Ok(solve_determined_many(system, c, &[c_prime])?
+        .pop()
+        .expect("one solution per contrast"))
+}
+
+/// [`solve_determined`] for every contrast `(c, c_primes[j])` from one
+/// factorization and one pass over its factors; solution `j` is bit for
+/// bit what [`solve_determined`] returns for `c_primes[j]`.
+///
+/// # Errors
+/// Factorization errors ([`LinalgError::Singular`] etc.).
+///
+/// # Panics
+/// Panics when the system is not square.
+pub(crate) fn solve_determined_many(
+    system: &EquationSystem,
+    c: usize,
+    c_primes: &[usize],
+) -> Result<Vec<PairwiseCoreParams>, LinalgError> {
     assert_eq!(
         system.rows(),
         system.unknowns(),
         "determined solve needs rows == unknowns"
     );
-    let lu = LuFactor::new(system.coefficients())?;
-    let solution = lu.solve(&system.rhs(c, c_prime))?;
-    Ok(unpack(solution, c_prime))
+    let lu = LuFactor::from_matrix(coefficient_rows(system.probes(), system.unknowns()))?;
+    let solutions = lu.solve_many(&system.rhs_many(c, c_primes))?;
+    Ok(c_primes
+        .iter()
+        .enumerate()
+        .map(|(j, &c_prime)| unpack(solutions.col(j), c_prime))
+        .collect())
 }
 
 #[cfg(test)]

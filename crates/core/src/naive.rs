@@ -8,8 +8,8 @@
 //! both as the paper's baseline `N(h)` and as the experimental control that
 //! makes OpenAPI's consistency check measurable.
 
-use crate::decision::{Interpretation, PairwiseCoreParams};
-use crate::equations::{solve_determined, EquationSystem, Probe};
+use crate::decision::Interpretation;
+use crate::equations::{solve_determined_many, EquationSystem, Probe};
 use crate::error::InterpretError;
 use crate::openapi::validate_request;
 use crate::sampler::sample_many;
@@ -75,6 +75,7 @@ impl NaiveInterpreter {
         let (d, c_total) = (api.dim(), api.num_classes());
 
         let x0_probe = Probe::query(api, x0.clone());
+        let c_primes: Vec<usize> = (0..c_total).filter(|&cp| cp != class).collect();
         let mut last_err: LinalgError = LinalgError::Empty { op: "naive" };
         for _ in 0..self.config.max_attempts {
             // d sampled instances + x0 = d + 1 equations for d + 1 unknowns.
@@ -83,21 +84,11 @@ impl NaiveInterpreter {
             for x in sample_many(x0.as_slice(), self.config.edge, d, rng) {
                 probes.push(Probe::query(api, x));
             }
-            let system = EquationSystem::new(probes);
-            let mut pairwise: Vec<PairwiseCoreParams> = Vec::with_capacity(c_total - 1);
-            let mut failed = None;
-            for c_prime in (0..c_total).filter(|&cp| cp != class) {
-                match solve_determined(&system, class, c_prime) {
-                    Ok(p) => pairwise.push(p),
-                    Err(e) => {
-                        failed = Some(e);
-                        break;
-                    }
-                }
-            }
-            match failed {
-                None => return Interpretation::from_pairwise(class, pairwise),
-                Some(e) => last_err = e,
+            // One factorization serves every contrast; a singular one
+            // fails the attempt.
+            match solve_determined_many(&EquationSystem::new(probes), class, &c_primes) {
+                Ok(pairwise) => return Interpretation::from_pairwise(class, pairwise),
+                Err(e) => last_err = e,
             }
         }
         Err(InterpretError::Numerical(last_err))

@@ -20,7 +20,7 @@ use crate::equations::{ConsistencySolver, ConsistencyStrategy, EquationSystem, P
 use crate::error::InterpretError;
 use crate::sampler::{sample_in_hypercube, sample_many};
 use openapi_api::{log_ratio, PredictionApi};
-use openapi_linalg::{LinalgError, Vector};
+use openapi_linalg::Vector;
 use rand::Rng;
 
 /// Algorithm 1 hyperparameters (defaults follow the paper's experiments).
@@ -248,7 +248,6 @@ impl OpenApiInterpreter {
         for iteration in 1..=self.config.max_iterations {
             let mut probes = Vec::with_capacity(d + 2);
             probes.push(x0_probe.clone());
-            let mut samples = Vec::with_capacity(d + 1);
             let mut spent = 0;
             let mut defect = None;
             for _ in 0..segments {
@@ -259,7 +258,7 @@ impl OpenApiInterpreter {
                         .map(|(a, b)| 0.5 * (a + b))
                         .collect(),
                 );
-                let end = Probe::query(api, x.clone());
+                let end = Probe::query(api, x);
                 let mid = Probe::query(api, m);
                 spent += 2;
                 defect = self.midpoint_defect(&x0_probe, &end, &mid, class, c_total);
@@ -267,7 +266,6 @@ impl OpenApiInterpreter {
                     break;
                 }
                 probes.push(end);
-                samples.push(x);
             }
             let outcome = match defect {
                 Some(defect) => Err(IterationLog {
@@ -284,17 +282,17 @@ impl OpenApiInterpreter {
                     // they form the d + 2 equations of Ω_{d+2}.
                     let fill = d + 1 - segments;
                     for x in sample_many(x0.as_slice(), edge, fill, rng) {
-                        probes.push(Probe::query(api, x.clone()));
-                        samples.push(x);
+                        probes.push(Probe::query(api, x));
                     }
                     spent += fill;
                     let system = EquationSystem::new(probes);
-                    self.try_all_contrasts(&system, class, c_total)
+                    let verdicts = self.try_all_contrasts(&system, class, c_total);
+                    verdicts.map(|(pairwise, worst)| (pairwise, worst, system.into_probes()))
                 }
             };
             queries += spent;
             match outcome {
-                Ok((pairwise, worst_residual)) => {
+                Ok((pairwise, worst_residual, probes)) => {
                     log.push(IterationLog {
                         edge,
                         consistent_contrasts: c_total - 1,
@@ -311,7 +309,7 @@ impl OpenApiInterpreter {
                         final_edge: edge,
                         queries,
                         log,
-                        samples,
+                        samples: probes.into_iter().skip(1).map(|p| p.x).collect(),
                     });
                 }
                 Err(iter_log) => {
@@ -384,6 +382,11 @@ impl OpenApiInterpreter {
     /// Checks every contrast on one sampled system. On success returns the
     /// recovered pairwise parameters; on failure returns the iteration log
     /// entry (minus the edge and queries, filled by the caller).
+    ///
+    /// Every contrast is solved in one pass ([`ConsistencySolver::check_many`]);
+    /// the verdicts are then read in ascending `c'` and the first
+    /// inconsistent one decides, so the log is the one a contrast-by-contrast
+    /// check that stops there would write.
     fn try_all_contrasts(
         &self,
         system: &EquationSystem,
@@ -391,61 +394,31 @@ impl OpenApiInterpreter {
         c_total: usize,
     ) -> Result<(Vec<crate::decision::PairwiseCoreParams>, f64), IterationLog> {
         let required = c_total - 1;
-        let solver = match ConsistencySolver::new(system, self.config.strategy, self.config.rtol) {
-            Ok(s) => s,
-            Err(_) => {
-                // Degenerate sampling geometry (probability 0): resample.
-                return Err(IterationLog {
-                    edge: 0.0,
-                    consistent_contrasts: 0,
-                    required_contrasts: required,
-                    worst_residual: f64::INFINITY,
-                    degenerate: true,
-                    queries: 0,
-                    screened: false,
-                });
-            }
+        let failed = |consistent_contrasts, worst_residual, degenerate| IterationLog {
+            edge: 0.0,
+            consistent_contrasts,
+            required_contrasts: required,
+            worst_residual,
+            degenerate,
+            queries: 0,
+            screened: false,
         };
+        let c_primes: Vec<usize> = (0..c_total).filter(|&cp| cp != class).collect();
+        let verdicts = ConsistencySolver::new(system, self.config.strategy, self.config.rtol)
+            .and_then(|solver| solver.check_many(&system.rhs_many(class, &c_primes), &c_primes))
+            // Degenerate sampling geometry (probability 0): resample.
+            .map_err(|_| failed(0, f64::INFINITY, true))?;
         let mut pairwise = Vec::with_capacity(required);
         let mut worst_residual = 0.0f64;
-        let mut consistent = 0usize;
-        for c_prime in (0..c_total).filter(|&cp| cp != class) {
-            match solver.check(&system.rhs(class, c_prime), c_prime) {
-                Ok(verdict) => {
-                    worst_residual = worst_residual.max(verdict.residual);
-                    if verdict.consistent {
-                        consistent += 1;
-                        pairwise.push(verdict.params);
-                    } else {
-                        // Algorithm 1 needs ALL contrasts consistent; one
-                        // failure dooms the iteration, so skip the solver
-                        // work for the remaining contrasts and resample.
-                        return Err(IterationLog {
-                            edge: 0.0,
-                            consistent_contrasts: consistent,
-                            required_contrasts: required,
-                            worst_residual,
-                            degenerate: false,
-                            queries: 0,
-                            screened: false,
-                        });
-                    }
-                }
-                Err(LinalgError::RankDeficient { .. }) | Err(_) => {
-                    return Err(IterationLog {
-                        edge: 0.0,
-                        consistent_contrasts: consistent,
-                        required_contrasts: required,
-                        worst_residual: f64::INFINITY,
-                        degenerate: true,
-                        queries: 0,
-                        screened: false,
-                    });
-                }
+        for verdict in verdicts {
+            worst_residual = worst_residual.max(verdict.residual);
+            if !verdict.consistent {
+                // Algorithm 1 needs ALL contrasts consistent; one failure
+                // dooms the iteration, and the later verdicts are not read.
+                return Err(failed(pairwise.len(), worst_residual, false));
             }
+            pairwise.push(verdict.params);
         }
-        // Every contrast was checked and none triggered the early exit.
-        debug_assert_eq!(consistent, required);
         Ok((pairwise, worst_residual))
     }
 }

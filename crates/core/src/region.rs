@@ -69,7 +69,7 @@ pub fn estimate_region_edge<M: PredictionApi, R: Rng>(
     let base = interpreter.interpret_with_probe(api, x0_probe.clone(), class, rng)?;
     let mut queries = base.queries;
     let d = api.dim();
-    let c_total = api.num_classes();
+    let c_primes: Vec<usize> = (0..api.num_classes()).filter(|&cp| cp != class).collect();
 
     let mut consistent_edge = base.final_edge;
     let mut edge = base.final_edge * 2.0;
@@ -82,16 +82,10 @@ pub fn estimate_region_edge<M: PredictionApi, R: Rng>(
         }
         queries += d + 1;
         let system = EquationSystem::new(probes);
-        let consistent = match ConsistencySolver::new(&system, config.strategy, config.rtol) {
-            Ok(solver) => (0..c_total).filter(|&cp| cp != class).all(|cp| {
-                solver
-                    .check(&system.rhs(class, cp), cp)
-                    .map(|v| v.consistent)
-                    .unwrap_or(false)
-            }),
-            // Degenerate geometry counts as "not shown consistent".
-            Err(_) => false,
-        };
+        // Degenerate geometry counts as "not shown consistent".
+        let consistent = ConsistencySolver::new(&system, config.strategy, config.rtol)
+            .and_then(|solver| solver.check_many(&system.rhs_many(class, &c_primes), &c_primes))
+            .is_ok_and(|verdicts| verdicts.iter().all(|v| v.consistent));
         if !consistent {
             return Ok(EdgeBracket {
                 consistent_edge,

@@ -276,12 +276,13 @@ fn degraded_api_ablation(
     }
     println!("{}", table.render());
     println!(
-        "note: two regimes. When the quantization step is large relative to the local\n\
-         signal, OpenAPI shrinks into a quantization PLATEAU (the quantized API is a\n\
-         piecewise-constant PLM) and exactly reports its zero slopes — honest about\n\
-         the API it queried, visibly far from the hidden model. When the step is\n\
-         fine, no cube is consistent within the budget and OpenAPI REFUSES (0/n\n\
-         success). The naive method always answers, wrongly, in both regimes.\n"
+        "note: rounding breaks Theorem 2's real-valued premise. Where the step is\n\
+         coarse relative to the local signal, OpenAPI shrinks into a quantization\n\
+         PLATEAU (the quantized API is a piecewise-constant PLM) and accepts its zero\n\
+         slopes, far from the hidden model. Where the step is fine, runs exhaust the\n\
+         budget and REFUSE. In between, a run may do either, so an accepted run here\n\
+         is no evidence of exactness (see its mean L1). The naive method always\n\
+         answers, wrongly. ROADMAP item 3 tracks a typed refusal for rounded APIs.\n"
     );
     write_csv(
         &out_path(cfg, "ablation_degraded.csv"),

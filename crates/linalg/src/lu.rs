@@ -13,15 +13,21 @@ use crate::vector::Vector;
 use crate::Result;
 
 /// Relative pivot tolerance: a pivot below `tol * max|A|` is treated as zero.
-const DEFAULT_PIVOT_RTOL: f64 = 1e-13;
+const PIVOT_RTOL: f64 = 1e-13;
 
 /// LU factorization `P·A = L·U` of a square matrix, with partial pivoting.
 ///
 /// The factors are stored packed in a single matrix (`U` on and above the
 /// diagonal, the unit-lower `L` multipliers below), alongside the row
-/// permutation. One factorization serves any number of [`LuFactor::solve`]
-/// calls — OpenAPI solves the same coefficient matrix for up to `C − 1`
-/// right-hand sides (one per contrast class), so this split pays for itself.
+/// permutation. One factorization serves any number of right-hand sides:
+/// OpenAPI solves the same coefficient matrix for `C − 1` of them (one per
+/// contrast class), and [`LuFactor::solve_many`] solves them side by side.
+///
+/// Summation-order contract: for every right-hand side `b`, forward
+/// substitution computes `y_i = b_{perm[i]} − L_i0·y_0 − … − L_i,i−1·y_i−1`
+/// and back substitution `x_i = (y_i − U_i,i+1·x_i+1 − … − U_i,n−1·x_n−1)
+/// / U_ii`, each subtraction in that order, whether the side is solved
+/// alone ([`LuFactor::solve`]) or next to others.
 #[derive(Debug, Clone)]
 pub struct LuFactor {
     packed: Matrix,
@@ -32,20 +38,22 @@ pub struct LuFactor {
 }
 
 impl LuFactor {
-    /// Factors a square matrix with the default pivot tolerance.
+    /// Factors a copy of a square matrix.
+    ///
+    /// # Errors
+    /// As [`LuFactor::from_matrix`].
+    pub fn new(a: &Matrix) -> Result<Self> {
+        Self::from_matrix(a.clone())
+    }
+
+    /// Factors a square matrix in place: the factors overwrite `a`, so no
+    /// copy of it is made. A pivot below `1e-13 · max|A|` counts as zero.
     ///
     /// # Errors
     /// * [`LinalgError::DimensionMismatch`] for a non-square input.
     /// * [`LinalgError::NonFinite`] when the matrix contains NaN/inf.
     /// * [`LinalgError::Singular`] when a pivot column is numerically zero.
-    pub fn new(a: &Matrix) -> Result<Self> {
-        Self::with_tolerance(a, DEFAULT_PIVOT_RTOL)
-    }
-
-    /// Factors with an explicit relative pivot tolerance.
-    ///
-    /// See [`LuFactor::new`] for the error conditions.
-    pub fn with_tolerance(a: &Matrix, pivot_rtol: f64) -> Result<Self> {
+    pub fn from_matrix(a: Matrix) -> Result<Self> {
         if !a.is_square() {
             return Err(LinalgError::DimensionMismatch {
                 op: "LuFactor::new (square required)",
@@ -59,11 +67,11 @@ impl LuFactor {
             });
         }
         let n = a.rows();
-        let mut packed = a.clone();
+        let mut packed = a;
         let mut perm: Vec<usize> = (0..n).collect();
         let mut perm_sign = 1.0;
         let scale = packed.norm_max().max(f64::MIN_POSITIVE);
-        let tol = pivot_rtol * scale;
+        let tol = PIVOT_RTOL * scale;
 
         for k in 0..n {
             // Partial pivoting: bring the largest remaining entry of column k
@@ -112,7 +120,8 @@ impl LuFactor {
         self.packed.rows()
     }
 
-    /// Solves `A·x = b` using the stored factors.
+    /// Solves `A·x = b` using the stored factors: [`LuFactor::solve_many`]
+    /// with one right-hand side.
     ///
     /// # Errors
     /// [`LinalgError::DimensionMismatch`] when `b.len() != dim()`.
@@ -125,25 +134,86 @@ impl LuFactor {
                 found: b.len(),
             });
         }
-        // Forward substitution with permuted b: L·y = P·b.
-        let mut y = vec![0.0; n];
-        for i in 0..n {
-            let mut s = b[self.perm[i]];
-            for (j, yj) in y.iter().enumerate().take(i) {
-                s -= self.packed[(i, j)] * yj;
-            }
-            y[i] = s;
+        Ok(Vector(self.substitute(b, 1)))
+    }
+
+    /// Solves `A·X = B` for every column of the `dim() × k` matrix `b`.
+    /// The columns run side by side in blocks of up to eight: each factor
+    /// entry is read once per block and applied to all of its right-hand
+    /// sides, so for `k ≤ 8` the factors are read once. Column `j` of the
+    /// result is bit for bit what [`LuFactor::solve`] returns for column
+    /// `j` of `b`.
+    ///
+    /// # Errors
+    /// [`LinalgError::DimensionMismatch`] when `b.rows() != dim()`.
+    pub fn solve_many(&self, b: &Matrix) -> Result<Matrix> {
+        let n = self.dim();
+        if b.rows() != n {
+            return Err(LinalgError::DimensionMismatch {
+                op: "LuFactor::solve_many",
+                expected: n,
+                found: b.rows(),
+            });
         }
-        // Back substitution: U·x = y.
-        let mut x = vec![0.0; n];
+        Matrix::from_vec(n, b.cols(), self.substitute(b.as_slice(), b.cols()))
+    }
+
+    /// Forward then back substitution on `k` right-hand sides stored
+    /// row-major (`b[i·k + j]` is equation `i` of side `j`), returned in
+    /// the same layout. The sides run in blocks of 8, 4, 2 or 1 columns.
+    fn substitute(&self, b: &[f64], k: usize) -> Vec<f64> {
+        let mut x = Vec::with_capacity(self.dim() * k);
+        for &p in &self.perm {
+            x.extend_from_slice(&b[p * k..(p + 1) * k]);
+        }
+        let mut c0 = 0;
+        while c0 < k {
+            c0 += match k - c0 {
+                8.. => self.substitute_block::<8>(&mut x, k, c0),
+                4..=7 => self.substitute_block::<4>(&mut x, k, c0),
+                2 | 3 => self.substitute_block::<2>(&mut x, k, c0),
+                _ => self.substitute_block::<1>(&mut x, k, c0),
+            };
+        }
+        x
+    }
+
+    /// Substitutes columns `c0..c0 + W` of the permuted `dim() × k` block
+    /// `x` in place, in one pass over the factors. Each row's `W` running
+    /// sums stay in registers while that row's factor entries stream by,
+    /// so the `W` subtraction chains overlap instead of each waiting on a
+    /// store. Returns `W`.
+    fn substitute_block<const W: usize>(&self, x: &mut [f64], k: usize, c0: usize) -> usize {
+        let n = self.dim();
+        // Forward substitution with permuted b: L·Y = P·B.
+        for i in 1..n {
+            let (done, rest) = x.split_at_mut(i * k);
+            let yi = &mut rest[c0..c0 + W];
+            let mut acc: [f64; W] = (*yi).try_into().expect("W columns");
+            for (&l, yj) in self.packed.row(i)[..i].iter().zip(done.chunks_exact(k)) {
+                for (s, &y) in acc.iter_mut().zip(&yj[c0..c0 + W]) {
+                    *s -= l * y;
+                }
+            }
+            yi.copy_from_slice(&acc);
+        }
+        // Back substitution: U·X = Y.
         for i in (0..n).rev() {
-            let mut s = y[i];
-            for (j, xj) in x.iter().enumerate().take(n).skip(i + 1) {
-                s -= self.packed[(i, j)] * xj;
+            let (head, tail) = x.split_at_mut((i + 1) * k);
+            let xi = &mut head[i * k + c0..i * k + c0 + W];
+            let u = self.packed.row(i);
+            let mut acc: [f64; W] = (*xi).try_into().expect("W columns");
+            for (&uij, xj) in u[i + 1..].iter().zip(tail.chunks_exact(k)) {
+                for (s, &v) in acc.iter_mut().zip(&xj[c0..c0 + W]) {
+                    *s -= uij * v;
+                }
             }
-            x[i] = s / self.packed[(i, i)];
+            for s in &mut acc {
+                *s /= u[i];
+            }
+            xi.copy_from_slice(&acc);
         }
-        Ok(Vector(x))
+        W
     }
 
     /// Determinant of the factored matrix (product of `U`'s diagonal times

@@ -185,6 +185,13 @@ impl Matrix {
 
     /// Matrix–vector product `A·x`.
     ///
+    /// Summation-order contract: output `r` equals
+    /// `row(r).iter().zip(x).map(|(a, b)| a * b).sum::<f64>()` bit for bit
+    /// — one accumulator that starts at `−0.0` and adds the row's products
+    /// `a_rj · x_j` left to right. Four rows run per pass, sharing each
+    /// `x_j` load, so four independent add chains hide the add latency;
+    /// leftover rows (and `cols == 0`) take the one-row expression itself.
+    ///
     /// # Errors
     /// [`LinalgError::DimensionMismatch`] when `x.len() != cols`.
     pub fn matvec(&self, x: &[f64]) -> Result<Vector> {
@@ -196,7 +203,22 @@ impl Matrix {
             });
         }
         let mut out = Vec::with_capacity(self.rows);
-        for r in 0..self.rows {
+        if self.cols > 0 {
+            for rows in self.data.chunks_exact(4 * self.cols) {
+                let (r0, rest) = rows.split_at(self.cols);
+                let (r1, rest) = rest.split_at(self.cols);
+                let (r2, r3) = rest.split_at(self.cols);
+                let (mut a0, mut a1, mut a2, mut a3) = (-0.0f64, -0.0f64, -0.0f64, -0.0f64);
+                for ((((&xj, &w0), &w1), &w2), &w3) in x.iter().zip(r0).zip(r1).zip(r2).zip(r3) {
+                    a0 += w0 * xj;
+                    a1 += w1 * xj;
+                    a2 += w2 * xj;
+                    a3 += w3 * xj;
+                }
+                out.extend_from_slice(&[a0, a1, a2, a3]);
+            }
+        }
+        for r in out.len()..self.rows {
             let row = self.row(r);
             out.push(row.iter().zip(x.iter()).map(|(a, b)| a * b).sum());
         }

@@ -5,6 +5,11 @@
 //! optimal, and the basic vector identities hold for arbitrary finite data.
 //! (The consistency check's accept/reject properties live with the check,
 //! in the workspace's `tests/theorem_properties.rs`.)
+//!
+//! The kernels' summation-order contracts are checked bit for bit against
+//! reference implementations kept here: `Matrix::matvec` against the
+//! one-row `iter().sum()` expression, and `LuFactor::solve_many` against
+//! the one-right-hand-side elimination and substitution loops.
 
 use openapi_linalg::{LuFactor, Matrix, QrFactor, Vector};
 use proptest::prelude::*;
@@ -25,8 +30,191 @@ fn finite_vec(n: usize) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-100.0f64..100.0, n)
 }
 
+/// Mostly finite values, one draw in four a signed zero, ±∞, NaN or an
+/// extreme magnitude.
+fn entry() -> impl Strategy<Value = f64> {
+    let specials = vec![
+        0.0,
+        -0.0,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::MAX,
+        f64::MIN_POSITIVE,
+        -1e-300,
+    ];
+    (0u8..4, -10.0f64..10.0, prop::sample::select(specials)).prop_map(|(pick, v, special)| {
+        if pick == 0 {
+            special
+        } else {
+            v
+        }
+    })
+}
+
+/// Signed zeros and a few finite values: many products are ±0.0.
+fn zero_heavy_entry() -> impl Strategy<Value = f64> {
+    prop::sample::select(vec![-0.0, 0.0, 1.5, -2.0])
+}
+
+/// A `rows × cols` matrix and a length-`cols` vector, `rows, cols ∈
+/// 0..=9`, with entries drawn from `values()`.
+fn matvec_case<S: Strategy<Value = f64>>(
+    values: fn() -> S,
+) -> impl Strategy<Value = (Matrix, Vec<f64>)> {
+    (0usize..=9, 0usize..=9).prop_flat_map(move |(rows, cols)| {
+        (
+            prop::collection::vec(values(), rows * cols),
+            prop::collection::vec(values(), cols),
+        )
+            .prop_map(move |(data, x)| (Matrix::from_vec(rows, cols, data).unwrap(), x))
+    })
+}
+
+/// Bit equality, with any two NaNs equal (the payload of a NaN result is
+/// not part of the contract).
+fn same_bits(a: f64, b: f64) -> bool {
+    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+}
+
+/// The one-row matvec expression `Matrix::matvec` must reproduce.
+fn matvec_oracle(a: &Matrix, x: &[f64]) -> Vec<f64> {
+    (0..a.rows())
+        .map(|r| a.row(r).iter().zip(x.iter()).map(|(a, b)| a * b).sum())
+        .collect()
+}
+
+/// One-right-hand-side LU with partial pivoting, loop for loop: packed
+/// factors and permutation, or `None` for a non-finite or numerically
+/// singular matrix.
+fn lu_oracle(a: &Matrix) -> Option<(Matrix, Vec<usize>)> {
+    if !a.is_finite() {
+        return None;
+    }
+    let n = a.rows();
+    let mut packed = a.clone();
+    let mut perm: Vec<usize> = (0..n).collect();
+    let tol = 1e-13 * packed.norm_max().max(f64::MIN_POSITIVE);
+    for k in 0..n {
+        let mut pivot_row = k;
+        let mut pivot_mag = packed[(k, k)].abs();
+        for r in k + 1..n {
+            let mag = packed[(r, k)].abs();
+            if mag > pivot_mag {
+                pivot_mag = mag;
+                pivot_row = r;
+            }
+        }
+        if pivot_mag <= tol {
+            return None;
+        }
+        if pivot_row != k {
+            packed.swap_rows(pivot_row, k);
+            perm.swap(pivot_row, k);
+        }
+        let pivot = packed[(k, k)];
+        for r in k + 1..n {
+            let m = packed[(r, k)] / pivot;
+            packed[(r, k)] = m;
+            if m != 0.0 {
+                for c in k + 1..n {
+                    let ukc = packed[(k, c)];
+                    packed[(r, c)] -= m * ukc;
+                }
+            }
+        }
+    }
+    Some((packed, perm))
+}
+
+/// Forward then back substitution for one right-hand side on
+/// [`lu_oracle`]'s factors.
+fn substitution_oracle(packed: &Matrix, perm: &[usize], b: &[f64]) -> Vec<f64> {
+    let n = packed.rows();
+    let mut y = vec![0.0; n];
+    for i in 0..n {
+        let mut s = b[perm[i]];
+        for (j, yj) in y.iter().enumerate().take(i) {
+            s -= packed[(i, j)] * yj;
+        }
+        y[i] = s;
+    }
+    let mut x = vec![0.0; n];
+    for i in (0..n).rev() {
+        let mut s = y[i];
+        for (j, xj) in x.iter().enumerate().take(n).skip(i + 1) {
+            s -= packed[(i, j)] * xj;
+        }
+        x[i] = s / packed[(i, i)];
+    }
+    x
+}
+
+/// An `n × n` matrix (unconditioned, so pivoting and singular draws
+/// happen) and an `n × k` block of right-hand sides, `n, k ∈ 1..=9`.
+fn multi_rhs_case() -> impl Strategy<Value = (Matrix, Matrix)> {
+    (1usize..=9, 1usize..=9).prop_flat_map(|(n, k)| {
+        (
+            prop::collection::vec(-1.0f64..1.0, n * n),
+            prop::collection::vec(entry(), n * k),
+        )
+            .prop_map(move |(a, b)| {
+                (
+                    Matrix::from_vec(n, n, a).unwrap(),
+                    Matrix::from_vec(n, k, b).unwrap(),
+                )
+            })
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn matvec_matches_the_one_row_sum_bit_for_bit(case in matvec_case(entry)) {
+        let (a, x) = case;
+        let got = a.matvec(&x).unwrap();
+        let want = matvec_oracle(&a, &x);
+        prop_assert_eq!(got.len(), want.len());
+        for (r, (&g, &w)) in got.iter().zip(&want).enumerate() {
+            prop_assert!(same_bits(g, w), "row {r}: {g:e} vs {w:e}");
+        }
+    }
+
+    #[test]
+    fn matvec_keeps_the_sign_of_zero_sums(
+        case in matvec_case(zero_heavy_entry)
+    ) {
+        // Products of signed zeros and ±finite values are signed zeros: a
+        // row whose products are all −0.0 must sum to −0.0, as the
+        // one-row sum (which starts at −0.0) does.
+        let (a, x) = case;
+        let got = a.matvec(&x).unwrap();
+        for (r, w) in matvec_oracle(&a, &x).into_iter().enumerate() {
+            prop_assert_eq!(got[r].to_bits(), w.to_bits(), "row {}", r);
+        }
+    }
+
+    #[test]
+    fn solve_many_matches_one_rhs_substitution_bit_for_bit(case in multi_rhs_case()) {
+        let (a, b) = case;
+        let oracle = lu_oracle(&a);
+        let lu = LuFactor::new(&a);
+        prop_assert_eq!(lu.is_ok(), oracle.is_some());
+        if let (Ok(lu), Some((packed, perm))) = (lu, oracle) {
+            let many = lu.solve_many(&b).unwrap();
+            prop_assert_eq!((many.rows(), many.cols()), (b.rows(), b.cols()));
+            for j in 0..b.cols() {
+                let col = b.col(j);
+                let want = substitution_oracle(&packed, &perm, col.as_slice());
+                let alone = lu.solve(col.as_slice()).unwrap();
+                for (i, &w) in want.iter().enumerate() {
+                    prop_assert!(same_bits(many[(i, j)], w), "side {j} row {i}: {:e} vs {w:e}", many[(i, j)]);
+                    prop_assert!(same_bits(alone[i], w), "alone {j} row {i}: {:e} vs {w:e}", alone[i]);
+                }
+            }
+        }
+    }
 
     #[test]
     fn lu_solution_reproduces_rhs(a in well_conditioned_square(7), b in finite_vec(7)) {
