@@ -237,7 +237,7 @@ impl ConsistencySolver {
                 }
             }
             ConsistencyStrategy::LeastSquares => {
-                Factor::LeastSquares(QrFactor::new(system.coefficients())?)
+                Factor::LeastSquares(QrFactor::from_matrix(coefficient_rows(system.probes(), n))?)
             }
         };
         Ok(ConsistencySolver {

@@ -31,12 +31,21 @@ pub struct QrFactor {
 }
 
 impl QrFactor {
-    /// Factors `a` (requires `rows ≥ cols`).
+    /// Factors a copy of `a` (requires `rows ≥ cols`).
+    ///
+    /// # Errors
+    /// As [`QrFactor::from_matrix`].
+    pub fn new(a: &Matrix) -> Result<Self> {
+        Self::from_matrix(a.clone())
+    }
+
+    /// Factors `a` in place (requires `rows ≥ cols`): the packed factors
+    /// overwrite it, so no copy of it is made.
     ///
     /// # Errors
     /// * [`LinalgError::DimensionMismatch`] when `rows < cols`.
     /// * [`LinalgError::NonFinite`] when the matrix contains NaN/inf.
-    pub fn new(a: &Matrix) -> Result<Self> {
+    pub fn from_matrix(a: Matrix) -> Result<Self> {
         let (m, n) = (a.rows(), a.cols());
         if m < n {
             return Err(LinalgError::DimensionMismatch {
@@ -50,7 +59,7 @@ impl QrFactor {
                 op: "QrFactor::new",
             });
         }
-        let mut packed = a.clone();
+        let mut packed = a;
         let mut betas = vec![0.0; n];
 
         for k in 0..n {

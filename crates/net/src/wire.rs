@@ -1392,6 +1392,25 @@ mod tests {
     }
 
     #[test]
+    fn a_served_record_with_trailing_payload_bytes_is_refused() {
+        let reply = served(ServeOutcome::Solved);
+        let mut payload = vec![TAG_INTERPRETED];
+        put_served(&mut payload, &reply);
+        let record_at =
+            payload.len() - record::encode_record(reply.fingerprint, &reply.interpretation).len();
+        let mut record_payload = payload.split_off(record_at)[record::FRAME_HEADER..].to_vec();
+        record_payload.extend_from_slice(&[0u8; 8]);
+        record::put_frame(&mut payload, &record_payload);
+        assert!(matches!(
+            decode_response(&payload),
+            Err(WireError::Record(RecordError::Codec(CodecError::BadLength {
+                what: "record payload",
+                value,
+            }))) if value == record_payload.len() as u64
+        ));
+    }
+
+    #[test]
     fn oversized_batch_counts_are_rejected() {
         let mut payload = vec![TAG_INTERPRET_BATCH];
         payload.put_u64_le(0);

@@ -51,7 +51,10 @@
 //!   order, then the WAL's longest valid record prefix. A torn tail —
 //!   a crash mid-write — fails its frame's CRC, gets clipped (the file is
 //!   truncated back to the valid prefix), and costs at most the records
-//!   of the final unsynced batch, never a wrong record.
+//!   of the final unsynced batch, never a wrong record. Each file is
+//!   CRC-verified and decoded once, on every core when it is large
+//!   enough, and its records are admitted in log order under the sync
+//!   keys their frames carry.
 //! * **Compaction** ([`RegionStore::compact`]): fold everything — the live
 //!   regions in admission order, then the tombstones — into one fresh
 //!   segment (tmp-write, fsync, atomic rename), *then* empty the WAL and
@@ -103,6 +106,7 @@
 
 mod error;
 pub mod record;
+mod replay;
 mod segment;
 mod stats;
 pub mod sticky;
@@ -112,12 +116,13 @@ mod wal;
 
 pub use error::StoreError;
 pub use record::{RecordError, RegionTombstone, StoreRecord};
-pub use segment::{read_segment, segment_name, SegmentRecovery, SEGMENT_MAGIC};
+pub use replay::Recovery;
+pub use segment::{read_segment, segment_name, SEGMENT_MAGIC};
 pub use stats::{StoreStats, StoreStatsSnapshot};
 pub use sticky::StickyError;
 pub use store::{RegionStore, StoreConfig};
 pub use sync::{DigestBucket, StoreDigest, SyncDelta, DIGEST_BUCKETS};
-pub use wal::{Wal, WalRecovery, WAL_MAGIC};
+pub use wal::{Wal, WAL_MAGIC};
 
 #[cfg(test)]
 pub(crate) mod testutil {

@@ -231,7 +231,13 @@ fn put_payload(buf: &mut Vec<u8>, fingerprint: RegionFingerprint, i: &Interpreta
 /// Decodes a record payload written by [`put_payload`]. Decision features
 /// are recomputed from the persisted pairwise parameters (Equation 1 is
 /// deterministic, so the result is bit-identical to the original).
+///
+/// The payload must be consumed exactly: trailing bytes are a
+/// [`CodecError::BadLength`] carrying the payload length. So a payload
+/// that decodes is its record's canonical encoding, and the frame's CRC is
+/// the sync key re-encoding the record would give.
 fn get_payload(mut payload: &[u8]) -> Result<CachedRegion, RecordError> {
+    let len = payload.len();
     let buf = &mut payload;
     if buf.remaining() < 8 {
         return Err(CodecError::Truncated {
@@ -262,6 +268,13 @@ fn get_payload(mut payload: &[u8]) -> Result<CachedRegion, RecordError> {
             weights,
             bias,
         });
+    }
+    if !buf.is_empty() {
+        return Err(CodecError::BadLength {
+            what: "record payload",
+            value: len as u64,
+        }
+        .into());
     }
     let interpretation =
         Interpretation::from_pairwise(class, pairwise).map_err(RecordError::BadEntry)?;
@@ -568,6 +581,22 @@ mod tests {
         let t = encode_tombstone(tombstone(0, 7));
         assert_eq!(sync_key_of(&t), crc64(&t[FRAME_HEADER..]));
         assert_ne!(sync_key_of(&frame), sync_key_of(&t));
+    }
+
+    #[test]
+    fn a_payload_with_trailing_bytes_is_rejected() {
+        let r = region(1, vec![0.5, -0.25], 0.75);
+        let clean = encode_record(r.fingerprint, &r.interpretation);
+        let mut payload = clean[FRAME_HEADER..].to_vec();
+        payload.extend_from_slice(&[0u8; 8]);
+        let mut padded = Vec::new();
+        put_frame(&mut padded, &payload);
+        let want = RecordError::Codec(CodecError::BadLength {
+            what: "record payload",
+            value: payload.len() as u64,
+        });
+        assert_eq!(get_any_record(&mut padded.as_slice()), Err(want.clone()));
+        assert_eq!(get_record(&mut padded.as_slice()), Err(want));
     }
 
     #[test]

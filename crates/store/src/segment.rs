@@ -14,6 +14,7 @@
 
 use crate::error::StoreError;
 use crate::record::{self, StoreRecord};
+use crate::replay::{self, Recovery};
 use std::fs::File;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -63,27 +64,17 @@ pub fn list_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>, StoreError> {
     Ok(segments)
 }
 
-/// What reading one segment recovered.
-#[derive(Debug, Default)]
-pub struct SegmentRecovery {
-    /// The records of the longest valid prefix — live regions and
-    /// tombstones alike — in write order.
-    pub records: Vec<StoreRecord>,
-    /// Bytes clipped off the tail (0 for a healthy sealed segment).
-    pub discarded_bytes: u64,
-}
-
 /// Reads a sealed segment, tolerating a torn tail.
 ///
 /// # Errors
 /// [`StoreError::Io`] on filesystem failures; [`StoreError::BadMagic`]
 /// when the file is not a segment.
-pub fn read_segment(path: &Path) -> Result<SegmentRecovery, StoreError> {
+pub fn read_segment(path: &Path) -> Result<Recovery, StoreError> {
     let bytes = std::fs::read(path)?;
     if bytes.len() < 8 {
-        return Ok(SegmentRecovery {
-            records: Vec::new(),
+        return Ok(Recovery {
             discarded_bytes: bytes.len() as u64,
+            ..Recovery::default()
         });
     }
     let magic = u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes checked"));
@@ -93,18 +84,7 @@ pub fn read_segment(path: &Path) -> Result<SegmentRecovery, StoreError> {
             found: magic,
         });
     }
-    let mut recovery = SegmentRecovery::default();
-    let mut cursor = &bytes[8..];
-    while !cursor.is_empty() {
-        match record::get_any_record(&mut cursor) {
-            Ok(r) => recovery.records.push(r),
-            Err(_) => {
-                recovery.discarded_bytes = cursor.len() as u64;
-                break;
-            }
-        }
-    }
-    Ok(recovery)
+    Ok(replay::decode_log(&bytes[8..]))
 }
 
 /// Writes a sealed segment atomically: `.tmp` + fsync + rename + dir

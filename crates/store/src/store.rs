@@ -3,6 +3,7 @@
 
 use crate::error::StoreError;
 use crate::record::{self, RegionTombstone, StoreRecord};
+use crate::replay::Recovery;
 use crate::segment::{self, sync_dir};
 use crate::stats::{StoreStats, StoreStatsSnapshot};
 use crate::sticky::StickyError;
@@ -97,64 +98,73 @@ impl Index {
         }
     }
 
-    /// Admits a record; `Some(frame)` means it was new — the returned
-    /// encoded frame is what must be persisted (append reuses it for the
-    /// WAL; recovery, which already has it on disk, drops it). `None`
+    /// Admits a record into the index without filing it under a sync key
+    /// ([`Index::keep`] does that); returns it when it is new. `None`
     /// means an agreeing record was already present, or the key is
     /// tombstoned (idempotent either way).
-    fn admit(&mut self, record: CachedRegion) -> Option<Vec<u8>> {
-        if self
-            .tombstoned
-            .contains(&(record.interpretation.class, record.fingerprint.0))
-        {
-            // Tombstone-wins: the key is a dead fact forever. (The caller
-            // still owns the freshly solved interpretation and serves it
-            // to its own requester — it just never re-enters the store.)
-            return None;
+    ///
+    /// A tombstone evicts every live region under its `(class,
+    /// fingerprint)` key, the canonical one and any collided duplicates,
+    /// and removes their sync keys from the gossip surface, so two stores
+    /// that both tombstone a key converge to equal digests. A live record
+    /// under a tombstoned key is refused: the key is a dead fact forever.
+    /// (The caller still owns a freshly solved interpretation and serves
+    /// it to its own requester; it just never re-enters the store.)
+    fn admit(&mut self, record: StoreRecord) -> Option<StoreRecord> {
+        match record {
+            StoreRecord::Live(r) => {
+                if self
+                    .tombstoned
+                    .contains(&(r.interpretation.class, r.fingerprint.0))
+                {
+                    return None;
+                }
+                let (region, fresh) = self.regions.insert(r.fingerprint, r.interpretation);
+                fresh.then_some(StoreRecord::Live(region))
+            }
+            StoreRecord::Tombstone(t) => {
+                let key = (t.class, t.fingerprint.0);
+                if !self.tombstoned.insert(key) {
+                    return None;
+                }
+                self.regions.evict_fingerprint(t.class, t.fingerprint);
+                self.by_sync_key.retain(|_, r| r.key() != key);
+                Some(record)
+            }
         }
-        let (region, fresh) = self
-            .regions
-            .insert(record.fingerprint, record.interpretation);
-        fresh.then(|| self.keep(StoreRecord::Live(region)))
     }
 
-    /// Admits a tombstone: evicts every live region under its
-    /// `(class, fingerprint)` key — the canonical one and any collided
-    /// duplicates — and removes their sync keys from the gossip surface,
-    /// so two stores that both tombstone a key converge to equal digests.
-    /// `Some(frame)` means the tombstone was new and must be persisted;
-    /// `None` means the key was already tombstoned (idempotent).
-    fn admit_tombstone(&mut self, t: RegionTombstone) -> Option<Vec<u8>> {
-        let key = (t.class, t.fingerprint.0);
-        if !self.tombstoned.insert(key) {
-            return None;
+    /// Admits a record that is not yet durable. `Some(frame)` means it was
+    /// new: the returned canonical frame is what must be persisted, and its
+    /// CRC is the sync key the record is filed under.
+    fn insert(&mut self, record: StoreRecord) -> Option<Vec<u8>> {
+        let fresh = self.admit(record)?;
+        let frame = fresh.encode();
+        self.keep(record::sync_key_of(&frame), fresh);
+        Some(frame)
+    }
+
+    /// Replays a recovered log: admits its records in log order, each new
+    /// one under the sync key its CRC-verified frame carries. Nothing is
+    /// re-encoded. The key is the one [`Index::insert`] would compute,
+    /// because a frame that decodes is its record's canonical encoding
+    /// (the codec refuses trailing payload bytes).
+    fn replay(&mut self, recovered: Recovery) {
+        for (record, key) in recovered.records.into_iter().zip(recovered.keys) {
+            if let Some(fresh) = self.admit(record) {
+                self.keep(key, fresh);
+            }
         }
-        self.regions.evict_fingerprint(t.class, t.fingerprint);
-        self.by_sync_key.retain(|_, r| r.key() != key);
-        Some(self.keep(StoreRecord::Tombstone(t)))
     }
 
-    /// Replays one recovered record. It is already durable, so the frame
-    /// an admission returns is not re-persisted.
-    fn replay(&mut self, record: StoreRecord) {
-        let _ = match record {
-            StoreRecord::Live(r) => self.admit(r),
-            StoreRecord::Tombstone(t) => self.admit_tombstone(t),
-        };
-    }
-
-    /// Files an admitted record under its sync key and returns its
-    /// canonical encoded frame (deterministic, so it is byte-identical to
-    /// what recovery will read back).
-    fn keep(&mut self, record: StoreRecord) -> Vec<u8> {
-        let frame = record.encode();
+    /// Files an admitted record under its sync key: the CRC-64 of its
+    /// canonical frame, computed by [`Index::insert`] or carried by the
+    /// verified frame [`Index::replay`] read.
+    fn keep(&mut self, key: u64, record: StoreRecord) {
         // A CRC collision between different records would leave the later
         // one unsummarized (it still serves locally; it just never gossips)
         // — `or_insert` keeps the digest an exact image of `by_sync_key`.
-        self.by_sync_key
-            .entry(record::sync_key_of(&frame))
-            .or_insert(record);
-        frame
+        self.by_sync_key.entry(key).or_insert(record);
     }
 
     /// Everything durable, for compaction: live regions in admission
@@ -249,12 +259,12 @@ impl RegionStore {
                 recovered.records.len() as u64,
             );
             StoreStats::add(&stats.recovered_discarded_bytes, recovered.discarded_bytes);
-            recovered.records.into_iter().for_each(|r| index.replay(r));
+            index.replay(recovered);
         }
         let (wal, recovered) = Wal::open(&dir.join("wal.log"))?;
         StoreStats::add(&stats.recovered_wal_records, recovered.records.len() as u64);
         StoreStats::add(&stats.recovered_discarded_bytes, recovered.discarded_bytes);
-        recovered.records.into_iter().for_each(|r| index.replay(r));
+        index.replay(recovered);
 
         let wal_bytes = wal.len();
         let compact_now = wal_bytes >= config.compact_wal_bytes;
@@ -359,10 +369,14 @@ impl RegionStore {
         fingerprint: RegionFingerprint,
         interpretation: Arc<Interpretation>,
     ) -> bool {
-        let admitted = self.shared.index.write().admit(CachedRegion {
-            fingerprint,
-            interpretation,
-        });
+        let admitted = self
+            .shared
+            .index
+            .write()
+            .insert(StoreRecord::Live(CachedRegion {
+                fingerprint,
+                interpretation,
+            }));
         let Some(frame) = admitted else {
             StoreStats::add(&self.shared.stats.duplicate_appends, 1);
             return false;
@@ -390,7 +404,7 @@ impl RegionStore {
     /// flusher's next batch ([`RegionStore::flush`] is the barrier).
     pub fn tombstone(&self, class: usize, fingerprint: RegionFingerprint) -> bool {
         let t = RegionTombstone { fingerprint, class };
-        let admitted = self.shared.index.write().admit_tombstone(t);
+        let admitted = self.shared.index.write().insert(StoreRecord::Tombstone(t));
         let Some(frame) = admitted else {
             return false;
         };

@@ -3,17 +3,25 @@
 //! Layout: an 8-byte magic header, then framed records (see
 //! [`crate::record`]) back to back. Appends only ever extend the file, so
 //! after a crash the log is a valid prefix followed by at most one torn
-//! frame plus garbage. Recovery ([`Wal::open`]) replays records until the
-//! first decode failure, **truncates** the file back to the end of the
-//! last valid record, and reports what it clipped — a torn tail can cost
-//! the unsynced suffix, never a wrong record (each frame's CRC vouches for
-//! its payload).
+//! frame plus garbage. Recovery ([`Wal::open`]) keeps the records up to
+//! the first frame that fails to decode, **truncates** the file back to
+//! the end of the last valid record, and reports what it clipped — a torn
+//! tail can cost the unsynced suffix, never a wrong record.
+//!
+//! What recovery verifies: every frame of the kept prefix has a plausible
+//! length, its whole payload, a CRC-64 that matches the payload, and a
+//! payload that decodes to a valid record with no bytes left over. Each
+//! byte is CRC-verified once; the decode is spread over the host's cores
+//! (the `replay` module). Records come back in log order, and the store
+//! admits them in that order, each under its sync key: the CRC its
+//! verified frame header carries, which is the CRC re-encoding the record
+//! would give, so nothing is re-encoded.
 //!
 //! Durability: [`Wal::append`] only `write()`s; the caller decides when to
 //! [`Wal::sync`] (the store's flusher batches many appends per fsync).
 
 use crate::error::StoreError;
-use crate::record::{self, StoreRecord};
+use crate::replay::{self, Recovery};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -23,16 +31,6 @@ pub const WAL_MAGIC: u64 = 0x4F41_5741_4C00_0001;
 
 /// Byte length of the file header (the magic).
 pub const WAL_HEADER: u64 = 8;
-
-/// What [`Wal::open`] recovered from an existing log.
-#[derive(Debug, Default)]
-pub struct WalRecovery {
-    /// The records of the longest valid prefix — live regions and
-    /// tombstones alike — in append order.
-    pub records: Vec<StoreRecord>,
-    /// Bytes clipped off the tail (torn final write, or garbage).
-    pub discarded_bytes: u64,
-}
 
 /// An open write-ahead log (see the module docs).
 #[derive(Debug)]
@@ -50,7 +48,7 @@ impl Wal {
     /// # Errors
     /// [`StoreError::Io`] on filesystem failures; [`StoreError::BadMagic`]
     /// when the file exists but is not a WAL (it is left untouched).
-    pub fn open(path: &Path) -> Result<(Wal, WalRecovery), StoreError> {
+    pub fn open(path: &Path) -> Result<(Wal, Recovery), StoreError> {
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -60,7 +58,7 @@ impl Wal {
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes)?;
 
-        let mut recovery = WalRecovery::default();
+        let mut recovery = Recovery::default();
         let valid_len = if bytes.is_empty() {
             file.write_all(&WAL_MAGIC.to_le_bytes())?;
             file.sync_all()?;
@@ -81,21 +79,7 @@ impl Wal {
                     found: magic,
                 });
             }
-            let mut cursor = &bytes[WAL_HEADER as usize..];
-            loop {
-                let remaining_before = cursor.len();
-                match record::get_any_record(&mut cursor) {
-                    Ok(r) => recovery.records.push(r),
-                    Err(_) => {
-                        // Torn tail (or in-place corruption): clip here.
-                        recovery.discarded_bytes = remaining_before as u64;
-                        break;
-                    }
-                }
-                if cursor.is_empty() {
-                    break;
-                }
-            }
+            recovery = replay::decode_log(&bytes[WAL_HEADER as usize..]);
             let valid = bytes.len() as u64 - recovery.discarded_bytes;
             if recovery.discarded_bytes > 0 {
                 file.set_len(valid)?;
@@ -178,7 +162,10 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{encode_record, encode_tombstone, RegionTombstone};
+    use crate::record::{
+        self, encode_record, encode_tombstone, put_frame, RegionTombstone, StoreRecord,
+        FRAME_HEADER,
+    };
     use crate::testutil::{region, temp_dir};
     use openapi_core::cache::CachedRegion;
 
@@ -270,6 +257,29 @@ mod tests {
         assert_eq!(rec2.records, live(&[a]));
         assert_eq!(rec2.discarded_bytes, 0);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), reopened_len);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_record_with_trailing_payload_bytes_ends_the_valid_prefix() {
+        let dir = temp_dir("wal_padded");
+        let path = dir.join("wal.log");
+        let (mut wal, _) = Wal::open(&path).unwrap();
+        let a = region(0, &[1.0], 0.0);
+        let b = region(1, &[2.0], 0.5);
+        let good = encode_record(a.fingerprint, &a.interpretation);
+        let mut payload = encode_record(b.fingerprint, &b.interpretation)[FRAME_HEADER..].to_vec();
+        payload.extend_from_slice(&[0u8; 8]);
+        let mut padded = Vec::new();
+        put_frame(&mut padded, &payload);
+        wal.append(&[good.clone(), padded.clone()]).unwrap();
+        wal.sync().unwrap();
+        drop(wal);
+        let (wal, rec) = Wal::open(&path).unwrap();
+        assert_eq!(rec.records, live(&[a]));
+        assert_eq!(rec.keys, vec![record::sync_key_of(&good)]);
+        assert_eq!(rec.discarded_bytes, padded.len() as u64);
+        assert_eq!(wal.len(), WAL_HEADER + good.len() as u64);
         std::fs::remove_dir_all(&dir).ok();
     }
 
