@@ -144,8 +144,8 @@ impl BatchOutcome {
 /// A thin adapter over [`RegionCache`]: this type owns the *batch* concerns
 /// (per-instance probing, query accounting, statistics), while membership
 /// lookup, fingerprint merging, and the collision fallback live in the
-/// cache — the same code path the sharded concurrent cache in
-/// `openapi-serve` builds on.
+/// cache — the same code path `openapi-serve`'s shared cache, one
+/// `RegionCache` behind one `RwLock`, builds on.
 ///
 /// The cache persists across [`BatchInterpreter::interpret_batch`] calls, so
 /// a long-lived instance keeps getting cheaper as traffic covers more of the

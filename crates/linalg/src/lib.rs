@@ -9,6 +9,8 @@
 //!
 //! * [`Vector`] and [`Matrix`] — dense `f64` containers with the usual
 //!   arithmetic, norms, and similarity measures.
+//! * [`TiledMatrix`] — a matrix packed once for many bit-identical
+//!   [`Matrix::matvec`]s (the PLNN forward pass behind every `predict`).
 //! * [`LuFactor`] — LU factorization with partial pivoting for square solves
 //!   and determinants (the fast path of OpenAPI's consistency check).
 //! * [`QrFactor`] — Householder QR for least-squares solves and numerical
@@ -42,7 +44,7 @@ pub mod vector;
 pub use error::LinalgError;
 pub use kernel::{Backend, BlockedBackend, RowGroup, RowMatrix, ScalarBackend};
 pub use lu::LuFactor;
-pub use matrix::Matrix;
+pub use matrix::{Matrix, TiledMatrix};
 pub use qr::QrFactor;
 pub use stats::Summary;
 pub use vector::Vector;

@@ -404,6 +404,83 @@ impl fmt::Display for Matrix {
     }
 }
 
+/// Rows per tile of a [`TiledMatrix`].
+const TILE_ROWS: usize = 16;
+
+/// A matrix repacked for [`TiledMatrix::matvec`]: its rows in tiles of 16,
+/// each tile stored column-major, so entry `(r, j)` of tile `t` sits at
+/// `16·t·cols + 16·j + r`. Rows past the last full tile stay row-major.
+/// Pack a matrix once and multiply by it many times: packing copies every
+/// entry.
+#[derive(Debug, Clone)]
+pub struct TiledMatrix {
+    rows: usize,
+    cols: usize,
+    /// The full tiles, back to back.
+    tiles: Vec<f64>,
+    /// Rows past the last full tile, row-major.
+    rest: Vec<f64>,
+}
+
+impl TiledMatrix {
+    /// Packs `a`.
+    pub fn new(a: &Matrix) -> Self {
+        let split = a.rows / TILE_ROWS * TILE_ROWS * a.cols;
+        let mut tiles = Vec::with_capacity(split);
+        for t in (0..split).step_by(TILE_ROWS * a.cols.max(1)) {
+            for j in 0..a.cols {
+                tiles.extend((0..TILE_ROWS).map(|r| a.data[t + r * a.cols + j]));
+            }
+        }
+        TiledMatrix {
+            rows: a.rows,
+            cols: a.cols,
+            tiles,
+            rest: a.data[split..].to_vec(),
+        }
+    }
+
+    /// Matrix–vector product `A·x`, bit for bit what [`Matrix::matvec`]
+    /// returns for the packed matrix.
+    ///
+    /// Summation-order contract, as [`Matrix::matvec`]'s: output `r` has
+    /// one accumulator that starts at `−0.0` and adds the row's products
+    /// `a_rj · x_j` left to right. A tile's sixteen accumulators advance
+    /// together, one column at a time; since the tile is column-major, each
+    /// step reads sixteen adjacent weights and one `x_j`, which the
+    /// compiler turns into vector multiplies and adds across rows. Rows
+    /// past the last full tile take `matvec`'s one-row expression.
+    ///
+    /// # Errors
+    /// [`LinalgError::DimensionMismatch`] when `x.len() != cols`.
+    pub fn matvec(&self, x: &[f64]) -> Result<Vector> {
+        if x.len() != self.cols {
+            return Err(LinalgError::DimensionMismatch {
+                op: "TiledMatrix::matvec",
+                expected: self.cols,
+                found: x.len(),
+            });
+        }
+        let mut out = Vec::with_capacity(self.rows);
+        if self.cols > 0 {
+            for tile in self.tiles.chunks_exact(TILE_ROWS * self.cols) {
+                let mut acc = [-0.0f64; TILE_ROWS];
+                for (w, &xj) in tile.chunks_exact(TILE_ROWS).zip(x) {
+                    for (a, &wr) in acc.iter_mut().zip(w) {
+                        *a += wr * xj;
+                    }
+                }
+                out.extend_from_slice(&acc);
+            }
+        }
+        for r in 0..self.rows - out.len() {
+            let row = &self.rest[r * self.cols..(r + 1) * self.cols];
+            out.push(row.iter().zip(x.iter()).map(|(a, b)| a * b).sum());
+        }
+        Ok(Vector(out))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

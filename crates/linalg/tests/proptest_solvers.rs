@@ -7,11 +7,11 @@
 //! in the workspace's `tests/theorem_properties.rs`.)
 //!
 //! The kernels' summation-order contracts are checked bit for bit against
-//! reference implementations kept here: `Matrix::matvec` against the
-//! one-row `iter().sum()` expression, and `LuFactor::solve_many` against
+//! reference implementations kept here: `Matrix::matvec` and
+//! `TiledMatrix::matvec` against the one-row `iter().sum()` expression, and `LuFactor::solve_many` against
 //! the one-right-hand-side elimination and substitution loops.
 
-use openapi_linalg::{LuFactor, Matrix, QrFactor, Vector};
+use openapi_linalg::{LuFactor, Matrix, QrFactor, TiledMatrix, Vector};
 use proptest::prelude::*;
 
 /// Strategy: a well-conditioned n×n matrix built as (random in [-1,1]) + n·I.
@@ -57,12 +57,13 @@ fn zero_heavy_entry() -> impl Strategy<Value = f64> {
     prop::sample::select(vec![-0.0, 0.0, 1.5, -2.0])
 }
 
-/// A `rows × cols` matrix and a length-`cols` vector, `rows, cols ∈
-/// 0..=9`, with entries drawn from `values()`.
+/// A `rows × cols` matrix and a length-`cols` vector, `rows ∈
+/// 0..=max_rows` and `cols ∈ 0..=9`, with entries drawn from `values()`.
 fn matvec_case<S: Strategy<Value = f64>>(
     values: fn() -> S,
+    max_rows: usize,
 ) -> impl Strategy<Value = (Matrix, Vec<f64>)> {
-    (0usize..=9, 0usize..=9).prop_flat_map(move |(rows, cols)| {
+    (0usize..=max_rows, 0usize..=9).prop_flat_map(move |(rows, cols)| {
         (
             prop::collection::vec(values(), rows * cols),
             prop::collection::vec(values(), cols),
@@ -171,7 +172,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn matvec_matches_the_one_row_sum_bit_for_bit(case in matvec_case(entry)) {
+    fn matvec_matches_the_one_row_sum_bit_for_bit(case in matvec_case(entry, 9)) {
         let (a, x) = case;
         let got = a.matvec(&x).unwrap();
         let want = matvec_oracle(&a, &x);
@@ -183,7 +184,7 @@ proptest! {
 
     #[test]
     fn matvec_keeps_the_sign_of_zero_sums(
-        case in matvec_case(zero_heavy_entry)
+        case in matvec_case(zero_heavy_entry, 9)
     ) {
         // Products of signed zeros and ±finite values are signed zeros: a
         // row whose products are all −0.0 must sum to −0.0, as the
@@ -192,6 +193,22 @@ proptest! {
         let got = a.matvec(&x).unwrap();
         for (r, w) in matvec_oracle(&a, &x).into_iter().enumerate() {
             prop_assert_eq!(got[r].to_bits(), w.to_bits(), "row {}", r);
+        }
+    }
+
+    #[test]
+    fn tiled_matvec_matches_the_one_row_sum_bit_for_bit(
+        case in matvec_case(entry, 40),
+        zeros in matvec_case(zero_heavy_entry, 40),
+    ) {
+        // Up to 40 rows: no tile, one, two, and rows past the last tile.
+        for (a, x) in [case, zeros] {
+            let got = TiledMatrix::new(&a).matvec(&x).unwrap();
+            let want = matvec_oracle(&a, &x);
+            prop_assert_eq!(got.len(), want.len());
+            for (r, (&g, &w)) in got.iter().zip(&want).enumerate() {
+                prop_assert!(same_bits(g, w), "row {r}: {g:e} vs {w:e}");
+            }
         }
     }
 

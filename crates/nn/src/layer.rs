@@ -62,6 +62,16 @@ impl DenseLayer {
         a
     }
 
+    /// The layer's output from its weight product `W·x`: adds the bias,
+    /// then applies the activation, as [`DenseLayer::forward`] does.
+    pub(crate) fn output_from(&self, mut wx: Vector) -> Vector {
+        wx += &self.bias;
+        for a in wx.iter_mut() {
+            *a = self.activation.apply(*a);
+        }
+        wx
+    }
+
     /// Full forward pass: returns `(pre_activation, post_activation)`.
     ///
     /// # Panics

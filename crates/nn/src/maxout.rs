@@ -60,12 +60,20 @@ impl MaxOutLayer {
     /// # Panics
     /// Panics when `x.len() != input_dim()`.
     pub fn forward(&self, x: &[f64]) -> (Vec<usize>, Vector) {
-        let per_piece: Vec<Vector> = self
-            .pieces
-            .iter()
+        self.select(
+            self.pieces
+                .iter()
+                .map(|w| w.matvec(x).expect("MaxOut forward: dimension mismatch")),
+        )
+    }
+
+    /// The layer's selection and output from its pieces' weight products
+    /// `W_k·x`, in piece order: adds each piece's bias, then keeps the
+    /// largest value per unit, ties to the lower piece.
+    pub(crate) fn select(&self, products: impl Iterator<Item = Vector>) -> (Vec<usize>, Vector) {
+        let per_piece: Vec<Vector> = products
             .zip(self.biases.iter())
-            .map(|(w, b)| {
-                let mut a = w.matvec(x).expect("MaxOut forward: dimension mismatch");
+            .map(|(mut a, b)| {
                 a += b;
                 a
             })

@@ -5,8 +5,10 @@ use crate::init;
 use crate::layer::DenseLayer;
 use crate::maxout::MaxOutLayer;
 use openapi_api::{softmax, PredictionApi};
-use openapi_linalg::Vector;
+use openapi_linalg::{TiledMatrix, Vector};
 use rand::Rng;
+use std::fmt;
+use std::sync::OnceLock;
 
 /// One layer of a [`Plnn`].
 #[derive(Debug, Clone, PartialEq)]
@@ -78,9 +80,28 @@ pub struct ForwardTrace {
 /// * consecutive layer dimensions chain,
 /// * the final layer is a [`DenseLayer`] with [`Activation::Identity`]
 ///   (it produces logits; [`PredictionApi::predict`] applies softmax).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone)]
 pub struct Plnn {
     layers: Vec<Layer>,
+    /// Each layer's weight matrices (one, or one per MaxOut piece) packed
+    /// for [`Plnn::logits`]: built on first use, dropped by
+    /// [`Plnn::layers_mut`], the only way to change a layer.
+    packed: OnceLock<Vec<Vec<TiledMatrix>>>,
+}
+
+impl fmt::Debug for Plnn {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Plnn")
+            .field("layers", &self.layers)
+            .finish_non_exhaustive()
+    }
+}
+
+/// Networks are equal when their layers are; the pack is derived from them.
+impl PartialEq for Plnn {
+    fn eq(&self, other: &Self) -> bool {
+        self.layers == other.layers
+    }
 }
 
 impl Plnn {
@@ -108,7 +129,10 @@ impl Plnn {
             ),
             Layer::MaxOut(_) => panic!("final layer must be a linear dense layer"),
         }
-        Plnn { layers }
+        Plnn {
+            layers,
+            packed: OnceLock::new(),
+        }
     }
 
     /// Builds a fully-connected MLP with the given layer widths
@@ -190,8 +214,10 @@ impl Plnn {
         &self.layers
     }
 
-    /// Mutable access for the trainer.
+    /// Mutable access for the trainer. Drops the packed weights, so the
+    /// next [`Plnn::logits`] packs the changed layers afresh.
     pub(crate) fn layers_mut(&mut self) -> &mut [Layer] {
+        self.packed.take();
         &mut self.layers
     }
 
@@ -202,17 +228,36 @@ impl Plnn {
 
     /// Computes logits (pre-softmax scores).
     ///
+    /// Bit for bit the logits of [`Plnn::forward_trace`]: each weight
+    /// product runs on the layer's [`TiledMatrix`], which keeps
+    /// [`Matrix::matvec`](openapi_linalg::Matrix::matvec)'s summation order,
+    /// and the bias, activation and MaxOut selection are the layers' own.
+    /// The weights are packed on the first call.
+    ///
     /// # Panics
     /// Panics when `x.len() != dim()`.
     pub fn logits(&self, x: &[f64]) -> Vector {
-        let mut cur = Vector(x.to_vec());
-        for layer in &self.layers {
-            cur = match layer {
-                Layer::Dense(l) => l.forward(cur.as_slice()).1,
-                Layer::MaxOut(l) => l.forward(cur.as_slice()).1,
-            };
+        let packed = self.packed.get_or_init(|| {
+            self.layers
+                .iter()
+                .map(|layer| match layer {
+                    Layer::Dense(l) => vec![TiledMatrix::new(&l.weights)],
+                    Layer::MaxOut(l) => l.pieces.iter().map(TiledMatrix::new).collect(),
+                })
+                .collect()
+        });
+        let mut cur: Option<Vector> = None;
+        for (layer, weights) in self.layers.iter().zip(packed) {
+            let input = cur.as_deref().unwrap_or(x);
+            let mut products = weights
+                .iter()
+                .map(|w| w.matvec(input).expect("Plnn::logits: dimension mismatch"));
+            cur = Some(match layer {
+                Layer::Dense(l) => l.output_from(products.next().expect("one matrix")),
+                Layer::MaxOut(l) => l.select(products).1,
+            });
         }
-        cur
+        cur.expect("a Plnn has at least one layer")
     }
 
     /// Forward pass retaining everything backprop and OpenBox need.
