@@ -19,7 +19,7 @@ use crate::decision::Interpretation;
 use crate::equations::{ConsistencySolver, ConsistencyStrategy, EquationSystem, Probe};
 use crate::error::InterpretError;
 use crate::sampler::{sample_in_hypercube, sample_many};
-use openapi_api::{log_ratio, PredictionApi};
+use openapi_api::{clamped_ln, PredictionApi};
 use openapi_linalg::Vector;
 use rand::Rng;
 
@@ -241,6 +241,8 @@ impl OpenApiInterpreter {
         let (d, c_total) = (api.dim(), api.num_classes());
         let x0 = x0_probe.x.clone();
         let segments = self.config.edge_search.segments(d);
+        // x⁰'s log terms, shared by every segment the screen tests.
+        let ln0: Vec<f64> = x0_probe.probs.iter().map(|&p| clamped_ln(p)).collect();
         let mut queries = 1usize;
         let mut edge = self.config.initial_edge;
         let mut log = Vec::new();
@@ -261,7 +263,7 @@ impl OpenApiInterpreter {
                 let end = Probe::query(api, x);
                 let mid = Probe::query(api, m);
                 spent += 2;
-                defect = self.midpoint_defect(&x0_probe, &end, &mid, class, c_total);
+                defect = self.midpoint_defect(&ln0, &end, &mid, class);
                 if defect.is_some() {
                     break;
                 }
@@ -343,17 +345,17 @@ impl OpenApiInterpreter {
     /// contrast's defect `|lr(m) − (lr(x⁰) + lr(x))/2|` above
     /// `rtol · max(1, |lr(x⁰)|, |lr(x)|, |lr(m)|)`, or `None` when the
     /// segment passes (a NaN defect fails).
-    fn midpoint_defect(
-        &self,
-        x0: &Probe,
-        end: &Probe,
-        mid: &Probe,
-        class: usize,
-        c_total: usize,
-    ) -> Option<f64> {
-        (0..c_total).filter(|&cp| cp != class).find_map(|cp| {
-            let lr = |p: &Probe| log_ratio(p.probs.as_slice(), class, cp);
-            let (at0, at_end, at_mid) = (lr(x0), lr(end), lr(mid));
+    ///
+    /// `ln0` holds x⁰'s `clamped_ln` of every class. Each log-ratio is the
+    /// difference of two such terms, as [`openapi_api::log_ratio`] forms it;
+    /// the segment's terms are taken once each, and only for the contrasts
+    /// the test reaches.
+    fn midpoint_defect(&self, ln0: &[f64], end: &Probe, mid: &Probe, class: usize) -> Option<f64> {
+        let (end_c, mid_c) = (clamped_ln(end.probs[class]), clamped_ln(mid.probs[class]));
+        (0..ln0.len()).filter(|&cp| cp != class).find_map(|cp| {
+            let at0 = ln0[class] - ln0[cp];
+            let at_end = end_c - clamped_ln(end.probs[cp]);
+            let at_mid = mid_c - clamped_ln(mid.probs[cp]);
             let defect = (at_mid - 0.5 * (at0 + at_end)).abs();
             let scale = at0.abs().max(at_end.abs()).max(at_mid.abs()).max(1.0);
             // A NaN defect compares false here, so it fails the screen.

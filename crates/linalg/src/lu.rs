@@ -11,6 +11,7 @@ use crate::error::LinalgError;
 use crate::matrix::Matrix;
 use crate::vector::Vector;
 use crate::Result;
+use std::ops::Range;
 
 /// Relative pivot tolerance: a pivot below `tol * max|A|` is treated as zero.
 const PIVOT_RTOL: f64 = 1e-13;
@@ -31,8 +32,9 @@ const PIVOT_RTOL: f64 = 1e-13;
 /// `m_rk == 0`. So each entry takes its updates in ascending `k`, and the
 /// first pivot column whose largest magnitude is at or below the tolerance
 /// ends the factorization as [`LinalgError::Singular`] with that column and
-/// magnitude. The loop itself runs in 32-column panels and 2 × 8 register
-/// tiles ([`LuFactor::from_matrix`]).
+/// magnitude. The loop itself runs in 32-column panels, factored in
+/// 16- and 8-column blocks, and 2 × 8 register tiles
+/// ([`LuFactor::from_matrix`]).
 ///
 /// Summation-order contract: for every right-hand side `b`, forward
 /// substitution computes `y_i = b_{perm[i]} − L_i0·y_0 − … − L_i,i−1·y_i−1`
@@ -61,12 +63,13 @@ impl LuFactor {
     /// copy of it is made. A pivot below `1e-13 · max|A|` counts as zero.
     ///
     /// The elimination is right-looking and blocked in panels of 32
-    /// columns. Each panel is factored with the pivot search, row swap and
-    /// row loop restricted to its own columns; the panel's rows then take
-    /// their trailing columns' updates in ascending `k`; and the trailing
-    /// block takes the whole panel's updates at once, in the 2 × 8 tiles of
-    /// `update_trailing`. Every entry still sees the steps of the
-    /// type-level contract in their order.
+    /// columns, each factored in two blocks of 16 and those in two of 8
+    /// (`eliminate`). Only an 8-column block runs the pivot search, row
+    /// swap and row loop, restricted to its own columns. After each block
+    /// or panel, its rows take the updates of the columns right of it in
+    /// ascending `k`, and the rows below take the whole block's updates at
+    /// once, in the 2 × 8 tiles of `update_trailing`. Every entry still
+    /// sees the steps of the type-level contract in their order.
     ///
     /// # Errors
     /// * [`LinalgError::DimensionMismatch`] for a non-square input.
@@ -92,57 +95,17 @@ impl LuFactor {
         let scale = packed.norm_max().max(f64::MIN_POSITIVE);
         let tol = PIVOT_RTOL * scale;
 
-        let a = packed.as_mut_slice();
-        for k0 in (0..n).step_by(PANEL) {
-            let k1 = (k0 + PANEL).min(n);
-            for k in k0..k1 {
-                // Partial pivoting: bring the largest remaining entry of
-                // column k to the diagonal.
-                let mut pivot_row = k;
-                let mut pivot_mag = a[k * n + k].abs();
-                for r in k + 1..n {
-                    let mag = a[r * n + k].abs();
-                    if mag > pivot_mag {
-                        pivot_mag = mag;
-                        pivot_row = r;
-                    }
-                }
-                if pivot_mag <= tol {
-                    return Err(LinalgError::Singular {
-                        pivot: k,
-                        magnitude: pivot_mag,
-                    });
-                }
-                if pivot_row != k {
-                    let (head, tail) = a.split_at_mut(pivot_row * n);
-                    head[k * n..(k + 1) * n].swap_with_slice(&mut tail[..n]);
-                    perm.swap(pivot_row, k);
-                    perm_sign = -perm_sign;
-                }
-                // Eliminate below the pivot, inside the panel only.
-                let (above, below) = a.split_at_mut((k + 1) * n);
-                let pivot = above[k * n + k];
-                let u = &above[k * n + k + 1..k * n + k1];
-                for row in below.chunks_exact_mut(n) {
-                    let m = row[k] / pivot;
-                    row[k] = m;
-                    if m != 0.0 {
-                        sub_scaled(&mut row[k + 1..k1], m, u);
-                    }
-                }
-            }
-            if k1 < n {
-                // The panel's own rows, top down: their trailing columns
-                // become rows of U, each taking the updates of the panel
-                // rows above it in ascending k.
-                for r in k0 + 1..k1 {
-                    let (above, row) = a.split_at_mut(r * n);
-                    let (l, t) = row[..n].split_at_mut(k1);
-                    update_row(t, &l[k0..r], &above[k0 * n..], n, k1);
-                }
-                update_trailing(a, n, k0, k1);
-            }
-        }
+        eliminate(
+            packed.as_mut_slice(),
+            n,
+            0..n,
+            PANEL,
+            tol,
+            &mut |k, pivot_row| {
+                perm.swap(pivot_row, k);
+                perm_sign = -perm_sign;
+            },
+        )?;
         Ok(LuFactor {
             packed,
             perm,
@@ -265,8 +228,87 @@ impl LuFactor {
 /// Columns per panel of the blocked elimination in [`LuFactor::from_matrix`].
 const PANEL: usize = 32;
 
+/// Widest column range [`eliminate`] factors one pivot column at a time.
+const LEAF: usize = 8;
+
 /// Columns of one register tile of the trailing update (its rows are two).
 const TILE: usize = 8;
+
+/// Factors columns `cols` of the `n × n` row-major `a`, whose columns
+/// before `cols` are factored and whose columns `cols` have taken those
+/// columns' steps: for each pivot column `k` in turn, the pivot search, the
+/// swap of whole rows (reported as `swapped(k, pivot_row)`) and the
+/// elimination below the pivot, restricted to `cols`.
+///
+/// At most [`LEAF`] columns run that loop as it stands. More run in blocks
+/// of `block` columns, each factored by this function with half the width;
+/// after each block, the columns of `cols` right of it take the block's
+/// steps: the block's own rows one at a time, the rows below in the tiles
+/// of [`update_trailing`]. Every entry still sees its steps in ascending
+/// `k`.
+fn eliminate(
+    a: &mut [f64],
+    n: usize,
+    cols: Range<usize>,
+    block: usize,
+    tol: f64,
+    swapped: &mut impl FnMut(usize, usize),
+) -> Result<()> {
+    let (k0, k1) = (cols.start, cols.end);
+    if k1 - k0 <= LEAF {
+        for k in cols {
+            // Partial pivoting: bring the largest remaining entry of
+            // column k to the diagonal.
+            let mut pivot_row = k;
+            let mut pivot_mag = a[k * n + k].abs();
+            for r in k + 1..n {
+                let mag = a[r * n + k].abs();
+                if mag > pivot_mag {
+                    pivot_mag = mag;
+                    pivot_row = r;
+                }
+            }
+            if pivot_mag <= tol {
+                return Err(LinalgError::Singular {
+                    pivot: k,
+                    magnitude: pivot_mag,
+                });
+            }
+            if pivot_row != k {
+                let (head, tail) = a.split_at_mut(pivot_row * n);
+                head[k * n..(k + 1) * n].swap_with_slice(&mut tail[..n]);
+                swapped(k, pivot_row);
+            }
+            let (above, below) = a.split_at_mut((k + 1) * n);
+            let pivot = above[k * n + k];
+            let u = &above[k * n + k + 1..k * n + k1];
+            for row in below.chunks_exact_mut(n) {
+                let m = row[k] / pivot;
+                row[k] = m;
+                if m != 0.0 {
+                    sub_scaled(&mut row[k + 1..k1], m, u);
+                }
+            }
+        }
+        return Ok(());
+    }
+    for b0 in (k0..k1).step_by(block) {
+        let b1 = (b0 + block).min(k1);
+        eliminate(a, n, b0..b1, block / 2, tol, swapped)?;
+        if b1 < k1 {
+            // The block's own rows, top down: their columns right of it
+            // become rows of U, each taking the steps of the block's rows
+            // above it in ascending k.
+            for r in b0 + 1..b1 {
+                let (above, row) = a.split_at_mut(r * n);
+                let (l, t) = row[..k1].split_at_mut(b1);
+                update_row(t, &l[b0..r], &above[b0 * n..], n, b1);
+            }
+            update_trailing(a, n, b0..b1, k1);
+        }
+    }
+    Ok(())
+}
 
 /// `row[c] −= m·u[c]` for every column `c`: one elimination step on one
 /// row.
@@ -277,26 +319,27 @@ fn sub_scaled(row: &mut [f64], m: f64, u: &[f64]) {
     }
 }
 
-/// Applies panel `k0..k1`'s elimination steps to the trailing block, rows
-/// and columns `k1..n` of the `n × n` row-major `a`, whose panel columns
-/// hold the multipliers and whose panel rows hold `U`.
+/// Applies the elimination steps `k0..k1` (`steps`) to the block of rows
+/// `k1..n` and columns `k1..c1` of the `n × n` row-major `a`, whose columns
+/// `k0..k1` hold the steps' multipliers and whose rows `k0..k1` hold `U`.
 ///
 /// Entry `(r, c)` takes `a_rc −= m_rk·u_kc` for each `k` in ascending
 /// order, and no step whose multiplier is zero. Rows run in pairs. A pair
 /// whose `2·(k1 − k0)` multipliers are all nonzero is updated in 2 × 8
-/// tiles that hold their sixteen entries in registers across the whole
-/// panel; any other pair, the odd last row and the columns past the last
+/// tiles that hold their sixteen entries in registers across all the
+/// steps; any other pair, the odd last row and the columns past the last
 /// full tile take the per-row loop, which skips zero multipliers.
-fn update_trailing(a: &mut [f64], n: usize, k0: usize, k1: usize) {
+fn update_trailing(a: &mut [f64], n: usize, steps: Range<usize>, c1: usize) {
+    let (k0, k1) = (steps.start, steps.end);
     let (top, bottom) = a.split_at_mut(k1 * n);
     let u = &top[k0 * n..];
-    let width = n - k1;
+    let width = c1 - k1;
     let tiled = width - width % TILE;
     let mut pairs = bottom.chunks_exact_mut(2 * n);
     for pair in &mut pairs {
         let (r0, r1) = pair.split_at_mut(n);
-        let (l0, t0) = r0.split_at_mut(k1);
-        let (l1, t1) = r1.split_at_mut(k1);
+        let (l0, t0) = r0[..c1].split_at_mut(k1);
+        let (l1, t1) = r1[..c1].split_at_mut(k1);
         let (m0, m1) = (&l0[k0..], &l1[k0..]);
         let done = if m0.iter().chain(m1).all(|&m| m != 0.0) {
             for c in (0..tiled).step_by(TILE) {
@@ -321,7 +364,7 @@ fn update_trailing(a: &mut [f64], n: usize, k0: usize, k1: usize) {
     }
     let last = pairs.into_remainder();
     if !last.is_empty() {
-        let (l, t) = last.split_at_mut(k1);
+        let (l, t) = last[..c1].split_at_mut(k1);
         update_row(t, &l[k0..], u, n, k1);
     }
 }
@@ -432,7 +475,11 @@ mod tests {
 
     #[test]
     fn blocked_elimination_equals_the_unblocked_loop() {
-        let sizes = (1..=9).chain(31..=33).chain(63..=65).chain([197]);
+        let sizes = (1..=9)
+            .chain(15..=17)
+            .chain(31..=33)
+            .chain(63..=65)
+            .chain([197]);
         let (mut factored, mut singular) = (0, 0);
         let mut tally = |ok: bool| if ok { factored += 1 } else { singular += 1 };
         for n in sizes {
@@ -515,6 +562,60 @@ mod tests {
             factored > 0 && singular > 0,
             "{factored} factored, {singular} singular"
         );
+    }
+
+    /// Every update rounds `m·u` and then the difference: nothing may fuse
+    /// them into one multiply-add, whatever the target's vector ISA. With
+    /// `e = 1 + ε` and `f = 1 − ε`, `1 − e·f` is `0.0` when the product
+    /// rounds to 1 first, and `2⁻¹⁰⁴` in a fused multiply-add.
+    #[test]
+    fn elimination_rounds_each_product_before_subtracting() {
+        use std::hint::black_box;
+        let (one, e, f) = (
+            black_box(1.0),
+            black_box(1.0 + f64::EPSILON),
+            black_box(1.0 - f64::EPSILON),
+        );
+        // 2 × 2: the Schur entry `1 − f·e`, in the panel's own row loop. It
+        // is the last pivot, so the factorization ends `Singular` with the
+        // entry's magnitude.
+        let a = Matrix::from_rows(&[&[one, e], &[f, one]]).unwrap();
+        match LuFactor::new(&a) {
+            Err(LinalgError::Singular {
+                pivot: 1,
+                magnitude,
+            }) => {
+                assert_eq!(magnitude.to_bits(), 0.0f64.to_bits(), "2 × 2 Schur entry")
+            }
+            other => panic!("2 × 2: {other:?}"),
+        }
+        // 42 × 42: rows 32.. take `1 − f·e` in the trailing update's tiles
+        // (columns 32..40) and its per-row loop (40, 41). Row 0 pivots
+        // column 0, giving rows 32.. the multiplier `f`; rows 1..32 pivot
+        // their own columns on a diagonal of 4, giving rows 32.. the
+        // multiplier 1/4, and carry zeros into the trailing columns, so
+        // every later step subtracts an exact zero.
+        let n = 42;
+        let a = Matrix::from_fn(n, n, |r, c| match (r, c) {
+            (0, 0) => one,
+            (0, 32..) => e,
+            (1..32, _) => (r == c) as u8 as f64 * 4.0,
+            (32.., 0) => f,
+            (32.., 1..32) => one,
+            (32.., _) => one + (r == c) as u8 as f64,
+            _ => 0.0,
+        });
+        assert!(assert_matches_unblocked(&a, "42 × 42"));
+        let packed = LuFactor::new(&a).unwrap().packed;
+        for r in 32..n {
+            for c in (32..n).filter(|&c| c != r) {
+                assert_eq!(
+                    packed[(r, c)].to_bits(),
+                    0.0f64.to_bits(),
+                    "entry ({r}, {c})"
+                );
+            }
+        }
     }
 
     #[test]

@@ -528,6 +528,26 @@ mod tests {
         assert_eq!(y.as_slice(), &[3.0, 7.0, 11.0]);
     }
 
+    /// Both matvecs round each product before adding it: with `e = 1 + ε`
+    /// and `f = 1 − ε`, the row `[−1, e]` times `[1, f]` sums to `0.0`,
+    /// where a fused multiply-add gives `−1 + e·f = 2⁻¹⁰⁴`. The 21 rows fill
+    /// a 16-row tile, a four-row pass and the one-row loop.
+    #[test]
+    fn matvec_rounds_each_product_before_adding() {
+        use std::hint::black_box;
+        let row = [black_box(-1.0), black_box(1.0 + f64::EPSILON)];
+        let a = Matrix::from_fn(21, 2, |_, c| row[c]);
+        let x = [black_box(1.0), black_box(1.0 - f64::EPSILON)];
+        for (what, y) in [
+            ("Matrix", a.matvec(&x)),
+            ("TiledMatrix", TiledMatrix::new(&a).matvec(&x)),
+        ] {
+            for (r, v) in y.unwrap().iter().enumerate() {
+                assert_eq!(v.to_bits(), 0.0f64.to_bits(), "{what} row {r}");
+            }
+        }
+    }
+
     #[test]
     fn matvec_t_matches_explicit_transpose() {
         let m = sample();
