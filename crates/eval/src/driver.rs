@@ -234,6 +234,27 @@ mod tests {
         assert_eq!(via_driver, inline);
     }
 
+    /// Pins the dedup pass's accounting on the smoke MnistLike LMT panel:
+    /// the figures `openapi-exp queries --profile smoke` prints for it.
+    #[test]
+    fn dedup_pass_on_the_smoke_lmt_panel_is_pinned() {
+        let (mut cfg, panel) = smoke_panel();
+        cfg.eval_instances = 4;
+        let driver = BatchDriver::new(&panel, &cfg);
+        let mut batch = BatchInterpreter::new(BatchConfig::default());
+        let (_, stats) = driver.run_deduped(&panel.model, &mut batch);
+        assert_eq!(
+            (
+                stats.hits,
+                stats.misses,
+                stats.regions,
+                stats.queries,
+                stats.failures
+            ),
+            (1, 3, 3, 5126, 0)
+        );
+    }
+
     #[test]
     fn run_deduped_accounts_every_item_and_saves_queries() {
         let (cfg, panel) = smoke_panel();
