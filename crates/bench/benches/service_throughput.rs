@@ -1,26 +1,33 @@
-//! Concurrent interpretation-service throughput versus independent
-//! per-client batch interpreters.
+//! Concurrent interpretation-service throughput versus sequential
+//! one-worker services, and the region cache versus per-instance
+//! Algorithm 1.
 //!
 //! Workload: 8 client threads, each submitting the same 100 instances
 //! drawn from the 5 most populous regions of the trained PLNN panel — the
 //! shape real traffic has (many users, few hot regions; 800 requests
-//! total). Two hard claims are asserted before the criterion timings:
+//! total). A *sequential* service below is the experiment harness's dedup
+//! pass: one worker, one leader slot, the paper's Halving policy, each
+//! request waited on before the next is sent. Three hard claims are
+//! asserted before the criterion timings:
 //!
-//! 1. **Strictly fewer API queries.** Eight clients sharing one
+//! 1. **≥ 5× fewer queries than per-instance solves.** One sequential
+//!    service over the 100 instances must issue at least 5× fewer
+//!    prediction queries than running Algorithm 1 on each instance.
+//! 2. **Strictly fewer API queries.** Eight clients sharing one
 //!    `InterpretationService` (shared region cache + request coalescing)
 //!    must issue strictly fewer total prediction queries than eight
-//!    independent `BatchInterpreter`s running the same workload — the
-//!    independents each re-solve every region; the service solves each
-//!    region once for the whole fleet.
-//! 2. **≥ 3× concurrent throughput.** Requests served per second by the
-//!    service (800 requests, 8 client threads) must be at least 3× the
-//!    single-threaded `batch_throughput` cold path (100 instances, one
-//!    thread) on the same instance set.
+//!    independent sequential services running the same workload — the
+//!    independents each re-solve every region; the shared service solves
+//!    each region once for the whole fleet.
+//! 3. **≥ 3× concurrent throughput.** Requests served per second by the
+//!    shared service (800 requests, 8 client threads) must be at least 3×
+//!    a single sequential service's cold pass (100 instances) on the same
+//!    instance set.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use openapi_api::{CountingApi, PredictionApi};
 use openapi_bench::{banner, hot_region_workload, plnn_panel};
-use openapi_core::batch::{BatchConfig, BatchInterpreter};
+use openapi_core::{OpenApiConfig, OpenApiInterpreter};
 use openapi_linalg::Vector;
 use openapi_serve::{InterpretationService, ServiceConfig};
 use openapi_sync::atomic::{AtomicU64, Ordering};
@@ -46,16 +53,51 @@ fn make_service() -> InterpretationService<PanelApi> {
     )
 }
 
-/// Eight independent batch interpreters, one per client: total queries.
-fn independent_queries(instances: &[Vector]) -> u64 {
+/// A fresh sequential service: one worker, one leader slot, the paper's
+/// Halving policy.
+fn sequential_service(seed: u64) -> InterpretationService<PanelApi> {
+    InterpretationService::new(
+        CountingApi::new(&plnn_panel().model),
+        ServiceConfig {
+            workers: 1,
+            max_leaders_per_class: 1,
+            seed,
+            openapi: OpenApiConfig::default(),
+            ..ServiceConfig::default()
+        },
+    )
+}
+
+/// Submits every instance and waits for it before sending the next.
+fn serve_in_order(service: &InterpretationService<PanelApi>, instances: &[Vector]) {
+    for x in instances {
+        service
+            .submit_instance(x.clone(), CLASS)
+            .wait()
+            .expect("interior instances interpret");
+    }
+}
+
+/// Algorithm 1 run on every instance, no cache: total queries.
+fn per_instance_queries(instances: &[Vector]) -> u64 {
     let api = CountingApi::new(&plnn_panel().model);
-    for client in 0..CLIENTS {
-        let mut batch = BatchInterpreter::new(BatchConfig::default());
-        let mut rng = StdRng::seed_from_u64(client as u64 + 1);
-        let out = batch.interpret_batch(&api, instances, CLASS, &mut rng);
-        assert_eq!(out.stats.failures, 0);
+    let interpreter = OpenApiInterpreter::default();
+    let mut rng = StdRng::seed_from_u64(1);
+    for x in instances {
+        let _ = interpreter.interpret(&api, x, CLASS, &mut rng);
     }
     api.queries()
+}
+
+/// Eight independent sequential services, one per client: total queries.
+fn independent_queries(instances: &[Vector]) -> u64 {
+    (0..CLIENTS)
+        .map(|client| {
+            let service = sequential_service(client as u64 + 1);
+            serve_in_order(&service, instances);
+            service.api().queries()
+        })
+        .sum()
 }
 
 /// One shared service, `CLIENTS` closed-loop client threads each
@@ -81,16 +123,14 @@ fn service_run(instances: &[Vector]) -> (u64, f64) {
     (service.api().queries(), elapsed)
 }
 
-/// Single-thread cold batch pass (the `batch_throughput` baseline):
-/// wall-clock seconds for 100 instances.
-fn batch_cold_run(instances: &[Vector]) -> f64 {
-    let mut batch = BatchInterpreter::new(BatchConfig::default());
-    let mut rng = StdRng::seed_from_u64(1);
+/// One sequential service's cold pass over the instances: returns
+/// (queries, wall-clock seconds).
+fn sequential_cold_run(instances: &[Vector]) -> (u64, f64) {
+    let service = sequential_service(1);
     let start = Instant::now();
-    let out = batch.interpret_batch(&plnn_panel().model, instances, CLASS, &mut rng);
+    serve_in_order(&service, instances);
     let elapsed = start.elapsed().as_secs_f64();
-    assert_eq!(out.stats.failures, 0);
-    elapsed
+    (service.api().queries(), elapsed)
 }
 
 /// A latency-bearing API wrapper tracking how many predictions are in
@@ -198,34 +238,45 @@ fn bench_service_throughput(c: &mut Criterion) {
     );
     assert_cold_misses_parallelize(&instances);
 
+    let solo = per_instance_queries(&instances);
+    let (probed, sequential_secs) = sequential_cold_run(&instances);
+    println!("per-instance OpenAPI             : {solo} queries");
+    println!(
+        "1 sequential service (cold)      : {probed} queries, {:.1}× fewer",
+        solo as f64 / probed as f64
+    );
+    assert!(
+        probed * 5 <= solo,
+        "the region cache must cut queries ≥5×: {probed} vs {solo}"
+    );
+
     let independent = independent_queries(&instances);
     let (shared, service_secs) = service_run(&instances);
-    let batch_secs = batch_cold_run(&instances);
     let service_rps = (CLIENTS * WORKLOAD) as f64 / service_secs;
-    let batch_rps = WORKLOAD as f64 / batch_secs;
-    println!("{CLIENTS} independent BatchInterpreters : {independent} queries");
+    let sequential_rps = WORKLOAD as f64 / sequential_secs;
+    println!("{CLIENTS} independent sequential services: {independent} queries");
     println!(
         "1 shared InterpretationService   : {shared} queries, {:.0} req/s ({} requests in {service_secs:.3}s)",
         service_rps,
         CLIENTS * WORKLOAD
     );
     println!(
-        "single-thread batch cold         : {:.0} req/s ({WORKLOAD} instances in {batch_secs:.3}s)",
-        batch_rps
+        "1 sequential service (cold)      : {:.0} req/s ({WORKLOAD} instances in {sequential_secs:.3}s)",
+        sequential_rps
     );
     println!(
         "query reduction {:.1}×, throughput {:.1}×",
         independent as f64 / shared as f64,
-        service_rps / batch_rps
+        service_rps / sequential_rps
     );
     assert!(
         shared < independent,
         "coalescing + shared cache must cut total queries: {shared} vs {independent}"
     );
     assert!(
-        service_rps >= 3.0 * batch_rps,
-        "concurrent throughput must be ≥3× the single-thread cold path: \
-         {service_rps:.0} vs {batch_rps:.0} req/s"
+        service_rps >= 3.0 * sequential_rps,
+        "concurrent throughput must be ≥3× the sequential cold pass: \
+         {service_rps:.0} vs {sequential_rps:.0} req/s"
     );
 
     let mut group = c.benchmark_group("service_throughput");

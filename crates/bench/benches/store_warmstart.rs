@@ -3,7 +3,7 @@
 //!
 //! Workload: 100 instances from the 5 most populous regions of the
 //! trained PLNN panel (d = 196), the same hot-region shape
-//! `batch_throughput` and `service_throughput` use. Two hard claims are
+//! `service_throughput` uses. Two hard claims are
 //! asserted before the criterion timings:
 //!
 //! 1. **≥ 5× fewer API queries after restart.** A service reopened

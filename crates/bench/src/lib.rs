@@ -2,15 +2,17 @@
 #![deny(missing_docs)]
 //! Shared fixtures for the Criterion benchmark harness.
 //!
-//! Every bench target needs a trained PLM panel; training inside the
-//! benchmark loop would swamp the measurement, so panels are built once per
-//! process behind `OnceLock`s at the bench-default scale (smoke profile:
-//! `d = 196`, small models — the kernels under measurement are identical to
-//! paper scale, only `d` and instance counts shrink).
+//! Benches that interpret a trained PLM share one panel; training inside
+//! the benchmark loop would swamp the measurement, so the panel is built
+//! once per process behind a `OnceLock` at the bench-default scale (smoke
+//! profile: `d = 196`, small models — the kernels under measurement are
+//! identical to paper scale, only `d` and instance counts shrink). The
+//! paper's figures and tables are `openapi-exp`'s job
+//! (`openapi-exp <experiment> --profile smoke`).
 
 use openapi_api::GroundTruthOracle;
 use openapi_data::SynthStyle;
-use openapi_eval::panel::{build_lmt_panel, build_plnn_panel};
+use openapi_eval::panel::build_plnn_panel;
 use openapi_eval::{ExperimentConfig, Panel, Profile};
 use openapi_linalg::Vector;
 use std::collections::HashMap;
@@ -29,12 +31,6 @@ pub fn plnn_panel() -> &'static Panel {
     PANEL.get_or_init(|| build_plnn_panel(&bench_config(), SynthStyle::MnistLike))
 }
 
-/// A trained LMT panel on synthetic FMNIST, built once.
-pub fn lmt_panel() -> &'static Panel {
-    static PANEL: OnceLock<Panel> = OnceLock::new();
-    PANEL.get_or_init(|| build_lmt_panel(&bench_config(), SynthStyle::FmnistLike))
-}
-
 /// Prints a one-line banner tying a bench target to its paper artifact.
 pub fn banner(artifact: &str, detail: &str) {
     println!("\n### regenerating {artifact} at bench scale — {detail} ###");
@@ -43,7 +39,7 @@ pub fn banner(artifact: &str, detail: &str) {
 /// `workload` test instances of the PLNN panel cycled round-robin over its
 /// `max_regions` most populous regions (deterministic: ties broken by first
 /// test index) — the shape real traffic has: many users, few hot regions.
-/// Shared by the `batch_throughput` and `service_throughput` benches so
+/// The `service_throughput` and `store_warmstart` benches share it, so
 /// their numbers compare like for like.
 pub fn hot_region_workload(workload: usize, max_regions: usize) -> Vec<Vector> {
     let panel = plnn_panel();
@@ -74,7 +70,5 @@ mod tests {
         let b = plnn_panel();
         assert!(std::ptr::eq(a, b), "OnceLock must cache");
         assert!(a.train_accuracy > 0.5);
-        let l = lmt_panel();
-        assert_eq!(l.model.family(), "LMT");
     }
 }

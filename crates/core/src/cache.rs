@@ -4,11 +4,10 @@
 //! core parameters (Theorem 2), so interpretation results are cacheable per
 //! *region*, not per instance. [`RegionCache`] owns the membership-probe
 //! lookup, the canonical-fingerprint merge, and the collision fallback — the
-//! one membership code path of the workspace. The single-threaded batch
-//! layer ([`crate::batch::BatchInterpreter`]), the concurrent cache in
-//! `openapi-serve` (one `RegionCache` behind a lock), and the durable store
+//! one membership code path of the workspace. The concurrent cache in
+//! `openapi-serve` (one `RegionCache` behind a lock) and the durable store
 //! in `openapi-store` (whose in-memory image is an unbounded `RegionCache`)
-//! all look up and merge regions here, in one order: a probe resolves to
+//! both look up and merge regions here, in one order: a probe resolves to
 //! the first admitted region that explains it.
 //!
 //! Lookup is black-box and sound by Theorem 2
@@ -43,8 +42,8 @@
 //! flag (no `&mut` required, so shared readers stay cheap), and inserts
 //! past capacity sweep the clock hand for an unreferenced victim. Removal
 //! keeps the survivors in insertion order, so the unbounded configuration
-//! — the batch layer's and the store's — scans (and iterates) its regions
-//! in exactly the order they were admitted.
+//! — the store's — scans (and iterates) its regions in exactly the order
+//! they were admitted.
 
 use crate::decision::{Interpretation, RegionFingerprint};
 use openapi_linalg::kernel::{default_backend, Backend, RowGroup, RowMatrix};
@@ -72,8 +71,8 @@ pub struct RegionCacheConfig {
     /// [`crate::openapi::OpenApiConfig::rtol`]'s default: membership and
     /// Algorithm 1's consistency check judge the same Theorem-2 identity.
     pub membership_rtol: f64,
-    /// Maximum cached regions; `None` (the batch layer's and the store's
-    /// setting) never evicts. A bound of 0 is clamped to 1.
+    /// Maximum cached regions; `None` (the store's setting) never evicts.
+    /// A bound of 0 is clamped to 1.
     pub capacity: Option<usize>,
     /// Kernel backend the blocked membership scan runs on (see
     /// [`openapi_linalg::kernel`]). Backends are bit-identical by
@@ -263,14 +262,6 @@ impl RegionCache {
     /// Whether the cache holds no regions.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Entries cached for one class.
-    pub fn class_len(&self, class: usize) -> usize {
-        self.entries
-            .iter()
-            .filter(|e| e.interpretation.class == class)
-            .count()
     }
 
     /// Regions evicted over the cache's lifetime (0 when unbounded).
@@ -1066,8 +1057,11 @@ mod tests {
         insert(&mut cache, interp(0, 1.0));
         insert(&mut cache, interp(1, 1.0));
         assert_eq!(cache.len(), 2);
-        assert_eq!(cache.class_len(0), 1);
-        assert_eq!(cache.class_len(1), 1);
+        for class in 0..2 {
+            let key = interp(class, 1.0).fingerprint(6);
+            assert!(cache.contains(class, key));
+            assert!(!cache.contains(1 - class, key));
+        }
     }
 
     #[test]

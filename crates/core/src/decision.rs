@@ -1,5 +1,5 @@
 //! Decision features and core parameters (paper §IV-A), plus the region
-//! fingerprint the batch layer (see [`crate::batch`]) dedupes on.
+//! fingerprint the region cache (see [`crate::cache`]) dedupes on.
 
 use crate::error::InterpretError;
 use openapi_api::log_ratio;

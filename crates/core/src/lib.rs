@@ -16,8 +16,7 @@
 //! | §V baselines: LIME (linear/ridge), ZOO, Saliency, Gradient*Input, Integrated Gradients | [`baselines`] |
 //! | §VI future work: reverse-engineering the PLM behind the API | [`reverse`] |
 //! | extension: region-extent bracketing via consistency growth | [`region`] |
-//! | extension: Theorem-2 region cache (shared by batch + serving tiers) | [`cache`] |
-//! | extension: region-deduplicating batch interpretation | [`batch`] |
+//! | extension: Theorem-2 region cache (shared by the serving tier and the store) | [`cache`] |
 //! | uniform method dispatch for the experiment harness | [`method`] |
 //!
 //! The type system mirrors the threat model: black-box methods take any
@@ -60,7 +59,6 @@
 //! ```
 
 pub mod baselines;
-pub mod batch;
 pub mod cache;
 pub mod decision;
 pub mod equations;
@@ -73,7 +71,6 @@ pub mod reverse;
 pub mod rng;
 pub mod sampler;
 
-pub use batch::{BatchConfig, BatchInterpreter, BatchItem, BatchOutcome, BatchStats};
 pub use cache::{CachedRegion, RegionCache, RegionCacheConfig};
 pub use decision::{
     decision_features_from_pairwise, region_fingerprint, Interpretation, PairwiseCoreParams,

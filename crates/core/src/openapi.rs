@@ -139,9 +139,9 @@ pub struct OpenApiResult {
 }
 
 /// Argument validation for every entry point that queries `api` about
-/// `x` — Algorithm 1, the batch layer, the serving tier, the naive method
-/// and the baselines — run before the first query, so a request doomed by
-/// its arguments is never billed one. `x` must have the API's dimension
+/// `x` — Algorithm 1, the serving tier, the naive method and the
+/// baselines — run before the first query, so a request doomed by its
+/// arguments is never billed one. `x` must have the API's dimension
 /// and finite features (a NaN or ±∞ feature puts every hypercube sample
 /// off the model's domain), and `class` must name one of its `C ≥ 2`
 /// classes.
@@ -221,7 +221,7 @@ impl OpenApiInterpreter {
     }
 
     /// Runs Algorithm 1 starting from an already-queried probe of `x0` —
-    /// the batch layer pays one membership probe per instance and reuses it
+    /// the serving tier pays one membership probe per request and reuses it
     /// here on a cache miss, so no instance is ever queried twice.
     ///
     /// `x0_probe` must come from this `api`; [`OpenApiResult::queries`]

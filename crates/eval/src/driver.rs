@@ -1,5 +1,5 @@
 //! The batch driver: one deterministic fan-out path for every per-instance
-//! experiment, plus the region-deduplicating fast path.
+//! experiment.
 //!
 //! Figures 3–7 all share the same skeleton — select evaluation instances,
 //! pair each with its predicted class, fan the per-instance work out over
@@ -12,22 +12,13 @@
 //! fixed seed their outputs are **bit-identical** to the inline
 //! `parallel_map` calls they replaced, at any thread count.
 //!
-//! [`BatchDriver::run_deduped`] is the throughput path: it routes the same
-//! work items through an [`openapi_core::BatchInterpreter`], which serves
-//! instances of an already-solved region from cache (Theorem 2) instead of
-//! re-running the `d + 1`-query sampling loop. Per-item RNG streams are
-//! preserved via [`crate::parallel::item_rng`], so a miss consumes exactly
-//! the stream its item would have had under `run` — but results now depend
-//! on which instance of a region came first (the representative's solve is
-//! served to all members), which is why the figure experiments stay on `run`
-//! and the query-budget accounting and benches use this.
+//! The region-deduplicating pass of the `queries` experiment sends the same
+//! work items, in order, through a one-worker `openapi-serve` service, whose
+//! request `i` draws item `i`'s [`crate::parallel::item_rng`] stream.
 
 use crate::config::ExperimentConfig;
 use crate::panel::{eval_indices, Panel};
-use crate::parallel::{item_rng, parallel_map};
-use openapi_api::PredictionApi;
-use openapi_core::batch::{BatchInterpreter, BatchItem, BatchStats};
-use openapi_core::InterpretError;
+use crate::parallel::parallel_map;
 use openapi_linalg::Vector;
 use rand::rngs::StdRng;
 
@@ -122,51 +113,6 @@ impl<'a> BatchDriver<'a> {
     {
         parallel_map(items, self.seed, f)
     }
-
-    /// Routes the work items through a region-deduplicating
-    /// [`BatchInterpreter`] against `api` (sequential: the cache is
-    /// stateful). Item `i` receives exactly the RNG stream `run` would give
-    /// it, and the returned stats aggregate the whole pass.
-    pub fn run_deduped<M: PredictionApi>(
-        &self,
-        api: &M,
-        batch: &mut BatchInterpreter,
-    ) -> (Vec<Result<BatchItem, InterpretError>>, BatchStats) {
-        let before = batch.lifetime_stats();
-        let results: Vec<Result<BatchItem, InterpretError>> = self
-            .items
-            .iter()
-            .enumerate()
-            .map(|(i, item)| {
-                let mut rng = item_rng(self.seed, i);
-                let one = batch.interpret_batch(
-                    api,
-                    std::slice::from_ref(self.instance(*item)),
-                    item.class,
-                    &mut rng,
-                );
-                one.results.into_iter().next().expect("one result per item")
-            })
-            .collect();
-        let after = batch.lifetime_stats();
-        // Items carry mixed classes, so "regions" here means the distinct
-        // (class-keyed) cache entries THIS pass was served from — not the
-        // interpreter's whole cache, which may hold earlier passes' entries.
-        let served: std::collections::HashSet<_> = results
-            .iter()
-            .filter_map(|r| r.as_ref().ok())
-            .map(|item| item.fingerprint)
-            .collect();
-        let stats = BatchStats {
-            instances: after.instances - before.instances,
-            hits: after.hits - before.hits,
-            misses: after.misses - before.misses,
-            failures: after.failures - before.failures,
-            queries: after.queries - before.queries,
-            regions: served.len(),
-        };
-        (results, stats)
-    }
 }
 
 #[cfg(test)]
@@ -174,8 +120,7 @@ mod tests {
     use super::*;
     use crate::config::Profile;
     use crate::panel::build_lmt_panel;
-    use openapi_api::GroundTruthOracle;
-    use openapi_core::batch::BatchConfig;
+    use openapi_api::PredictionApi;
     use openapi_core::Method;
     use openapi_data::SynthStyle;
 
@@ -232,48 +177,5 @@ mod tests {
                     .ok()
             });
         assert_eq!(via_driver, inline);
-    }
-
-    /// Pins the dedup pass's accounting on the smoke MnistLike LMT panel:
-    /// the figures `openapi-exp queries --profile smoke` prints for it.
-    #[test]
-    fn dedup_pass_on_the_smoke_lmt_panel_is_pinned() {
-        let (mut cfg, panel) = smoke_panel();
-        cfg.eval_instances = 4;
-        let driver = BatchDriver::new(&panel, &cfg);
-        let mut batch = BatchInterpreter::new(BatchConfig::default());
-        let (_, stats) = driver.run_deduped(&panel.model, &mut batch);
-        assert_eq!(
-            (
-                stats.hits,
-                stats.misses,
-                stats.regions,
-                stats.queries,
-                stats.failures
-            ),
-            (1, 3, 3, 5126, 0)
-        );
-    }
-
-    #[test]
-    fn run_deduped_accounts_every_item_and_saves_queries() {
-        let (cfg, panel) = smoke_panel();
-        let driver = BatchDriver::new(&panel, &cfg);
-        let mut batch = BatchInterpreter::new(BatchConfig::default());
-        let (results, stats) = driver.run_deduped(&panel.model, &mut batch);
-        assert_eq!(results.len(), driver.len());
-        assert_eq!(stats.instances, driver.len());
-        assert_eq!(stats.hits + stats.misses + stats.failures, driver.len());
-        // Every successful item's answer matches its region's ground truth.
-        for (item, result) in driver.items().iter().zip(&results) {
-            if let Ok(b) = result {
-                let truth = panel
-                    .model
-                    .local_model(driver.instance(*item).as_slice())
-                    .decision_features(item.class);
-                let err = b.interpretation.decision_features.l1_distance(&truth);
-                assert!(err.unwrap() < 1e-6);
-            }
-        }
     }
 }

@@ -242,7 +242,7 @@ impl Client {
         class: usize,
         budget: Duration,
     ) -> Result<RemoteServed, ClientError> {
-        self.interpret_inner(instance, class, budget.as_millis().max(1) as u64)
+        self.interpret_inner(instance, class, wire_budget_ms(budget))
     }
 
     fn interpret_inner(
@@ -274,7 +274,7 @@ impl Client {
         items: &[(Vector, usize)],
         budget: Option<Duration>,
     ) -> Result<Vec<Result<RemoteServed, RemoteError>>, ClientError> {
-        let deadline_ms = budget.map_or(0, |b| b.as_millis().max(1) as u64);
+        let deadline_ms = budget.map_or(0, wire_budget_ms);
         match self.exchange(&wire::encode_interpret_batch(deadline_ms, items))? {
             Response::Batch(results) => Ok(results),
             Response::Error(e) => Err(ClientError::Remote(e)),
@@ -357,5 +357,26 @@ impl Client {
                 expected: "sync pull",
             }),
         }
+    }
+}
+
+/// A deadline budget as the wire's `deadline_ms`: whole milliseconds, at
+/// least 1 (0 on the wire means "use the server's default"), saturating at
+/// `u64::MAX` rather than wrapping.
+fn wire_budget_ms(budget: Duration) -> u64 {
+    u64::try_from(budget.as_millis()).unwrap_or(u64::MAX).max(1)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn wire_budgets_round_up_to_one_and_saturate() {
+        assert_eq!(wire_budget_ms(Duration::ZERO), 1);
+        assert_eq!(wire_budget_ms(Duration::from_millis(250)), 250);
+        // 2⁶¹ s is 125 · 2⁶⁴ ms: a plain `as u64` wraps it to 0.
+        assert_eq!(wire_budget_ms(Duration::from_secs(1 << 61)), u64::MAX);
+        assert_eq!(wire_budget_ms(Duration::MAX), u64::MAX);
     }
 }

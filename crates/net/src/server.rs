@@ -50,7 +50,7 @@ pub struct ServerConfig {
     pub max_inflight_per_conn: usize,
     /// Deadline applied to interpret requests that do not carry their own
     /// (`None` = no default: such requests may occupy a worker until they
-    /// resolve).
+    /// resolve). A budget past the clock's range sets no deadline.
     pub default_deadline: Option<Duration>,
     /// Per-`write` timeout on every connection, so a client that stops
     /// reading its responses cannot stall the writer (and with it,

@@ -6,10 +6,10 @@
 //! The OpenAPI method (Algorithm 1) makes exact black-box interpretation
 //! cheap enough to run behind a live prediction API, and Theorem 2 makes
 //! the expensive part per-*region*, not per-instance: every instance inside
-//! one locally linear region recovers the identical core parameters. The
-//! single-threaded [`openapi_core::BatchInterpreter`] already exploits that
-//! with a region cache; this crate scales the same insight to many client
-//! threads:
+//! one locally linear region recovers the identical core parameters. This
+//! crate serves that insight to many client threads; a one-worker service
+//! that is sent one request at a time is the deterministic sequential
+//! pass the experiment harness uses:
 //!
 //! * [`SharedRegionCache`] — one [`openapi_core::RegionCache`] keyed by
 //!   [`openapi_core::RegionFingerprint`] behind an `openapi_sync::RwLock`,

@@ -6,7 +6,6 @@ use crate::shared_cache::{SharedCacheConfig, SharedRegionCache};
 use crate::stats::{DriftStats, FabricStats, ServiceStats, StageSlot, StatsSnapshot};
 use crossbeam::channel::{self, Receiver, Sender};
 use openapi_api::PredictionApi;
-use openapi_core::batch::queries_consumed;
 use openapi_core::cache::{CachedRegion, ProbeRef};
 use openapi_core::decision::{Interpretation, RegionFingerprint};
 use openapi_core::equations::Probe;
@@ -89,9 +88,10 @@ impl InterpretRequest {
         }
     }
 
-    /// Sets a deadline `budget` from now.
+    /// Sets a deadline `budget` from now. A budget past the clock's range
+    /// sets no deadline.
     pub fn with_timeout(mut self, budget: Duration) -> Self {
-        self.deadline = Some(clock::now() + budget);
+        self.deadline = clock::now().checked_add(budget);
         self
     }
 }
@@ -1153,6 +1153,17 @@ fn lead_solve<M: PredictionApi>(
     }
 }
 
+/// Sampling queries a failed interpretation spent beyond `x⁰`'s probe, read
+/// off the error (a failed run returns no
+/// [`openapi_core::openapi::OpenApiResult`] to read it from). Budget
+/// exhaustion carries its own count; argument validation spends none.
+fn queries_consumed(error: &InterpretError) -> usize {
+    match error {
+        InterpretError::BudgetExhausted { queries, .. } => queries.saturating_sub(1),
+        _ => 0,
+    }
+}
+
 /// Settles the requests that parked behind a leader's solve: waiters whose
 /// probe the solved region explains are in that region (Theorem 2) and are
 /// served its exact interpretation; everyone else — other regions queued
@@ -1460,6 +1471,12 @@ mod tests {
             Err(ServeError::DeadlineExceeded)
         ));
         assert_eq!(svc.stats().deadline_expired, 1);
+    }
+
+    #[test]
+    fn budgets_past_the_clock_range_set_no_deadline() {
+        let req = InterpretRequest::new(Vector(vec![0.2, 0.1]), 0);
+        assert_eq!(req.with_timeout(Duration::MAX).deadline, None);
     }
 
     #[test]
@@ -2071,5 +2088,234 @@ mod tests {
         );
         svc.close().unwrap();
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A service that runs the region-deduplicating pass: one worker, one
+    /// leader slot, the paper's Halving. Sent one request at a time,
+    /// request `i` solves with `derived_rng(seed, i)`, and every solved
+    /// region is admitted before the next request probes the cache.
+    fn sequential<M: PredictionApi + Send + Sync + 'static>(
+        api: M,
+        seed: u64,
+        cache: SharedCacheConfig,
+    ) -> InterpretationService<M> {
+        InterpretationService::new(
+            api,
+            ServiceConfig {
+                workers: 1,
+                max_leaders_per_class: 1,
+                seed,
+                openapi: OpenApiConfig::default(),
+                cache,
+            },
+        )
+    }
+
+    /// Submits each instance and waits for it before sending the next.
+    fn serve_in_order<M: PredictionApi + Send + Sync + 'static>(
+        svc: &InterpretationService<M>,
+        instances: &[Vector],
+        class: usize,
+    ) -> Vec<Result<Served, ServeError>> {
+        instances
+            .iter()
+            .map(|x| svc.submit_instance(x.clone(), class).wait())
+            .collect()
+    }
+
+    /// Instances alternating between the two regions of `two_region_model`.
+    fn clustered_instances(n: usize) -> Vec<Vector> {
+        (0..n)
+            .map(|i| {
+                let side = if i % 2 == 0 { 0.2 } else { 0.8 };
+                Vector(vec![side, (i as f64 * 0.37).sin() * 0.4])
+            })
+            .collect()
+    }
+
+    /// L1 distance from a served interpretation to the region's ground
+    /// truth at `x`.
+    fn l1_to_truth(model: &TwoRegionPlm, x: &Vector, served: &Served) -> f64 {
+        use openapi_api::GroundTruthOracle;
+        let truth = model
+            .local_model(x.as_slice())
+            .decision_features(served.interpretation.class);
+        served
+            .interpretation
+            .decision_features
+            .l1_distance(&truth)
+            .unwrap()
+    }
+
+    #[test]
+    fn sequential_pass_dedupes_to_one_solve_per_region() {
+        let svc = sequential(two_region_model(), 1, SharedCacheConfig::default());
+        let served = serve_in_order(&svc, &clustered_instances(20), 0);
+        let stats = svc.stats();
+        assert_eq!(stats.requests, 20);
+        assert_eq!(stats.failures, 0);
+        assert_eq!(stats.misses, 2, "one solve per region");
+        assert_eq!(stats.hits, 18);
+        assert_eq!(stats.cached_regions, 2);
+        let outcomes: Vec<ServeOutcome> =
+            served.iter().map(|r| r.as_ref().unwrap().outcome).collect();
+        assert_eq!(outcomes[..2], [ServeOutcome::Solved; 2]);
+        assert!(outcomes[2..].iter().all(|o| *o == ServeOutcome::CacheHit));
+        // A second pass over the warm cache solves nothing.
+        serve_in_order(&svc, &clustered_instances(4), 0);
+        assert_eq!(svc.stats().misses, 2, "warm cache serves everything");
+    }
+
+    #[test]
+    fn sequential_hits_are_bit_identical_within_a_region_and_exact() {
+        let model = two_region_model();
+        let instances = clustered_instances(10);
+        let svc = sequential(model.clone(), 2, SharedCacheConfig::default());
+        let served: Vec<Served> = serve_in_order(&svc, &instances, 0)
+            .into_iter()
+            .map(Result::unwrap)
+            .collect();
+        for item in &served {
+            // Same fingerprint ⇒ the very same Interpretation, bitwise.
+            let rep = served
+                .iter()
+                .find(|o| o.fingerprint == item.fingerprint)
+                .unwrap();
+            assert_eq!(rep.interpretation, item.interpretation);
+        }
+        // And the cached answer is the region's exact ground truth.
+        for (x, item) in instances.iter().zip(&served) {
+            assert!(l1_to_truth(&model, x, item) < 1e-7);
+        }
+    }
+
+    #[test]
+    fn sequential_hits_cost_one_query_each() {
+        let d = 16;
+        let w = Matrix::from_fn(d, 3, |r, c| ((r * 3 + c) % 7) as f64 * 0.1 - 0.3);
+        let api = CountingApi::new(LinearSoftmaxModel::new(w, Vector(vec![0.1, -0.2, 0.05])));
+        let instances: Vec<Vector> = (0..50)
+            .map(|i| Vector((0..d).map(|j| ((i * d + j) as f64 * 0.11).cos()).collect()))
+            .collect();
+        let svc = sequential(api, 3, SharedCacheConfig::default());
+        let served = serve_in_order(&svc, &instances, 1);
+        let stats = svc.stats();
+        assert_eq!(stats.misses, 1, "single region: one solve");
+        assert_eq!(stats.hits, 49);
+        // Stats agree with the metered truth.
+        assert_eq!(stats.queries, svc.api().queries());
+        // 49 hits × 1 probe + one full Algorithm 1 run.
+        let miss_cost = served[0].as_ref().unwrap().queries;
+        assert!(served[1..].iter().all(|r| r.as_ref().unwrap().queries == 1));
+        assert_eq!(stats.queries, 49 + miss_cost as u64);
+        // ≥ 5× fewer queries than 50 per-instance runs (each ≥ miss_cost).
+        assert!(stats.queries * 5 <= 50 * miss_cost as u64);
+    }
+
+    #[test]
+    fn sequential_hit_is_bit_identical_to_the_cold_run() {
+        // The paper's consistency property: the cached entry a hit serves
+        // IS the cold run's Interpretation, bit for bit — the cold run
+        // drawing request 0's stream.
+        let model = two_region_model();
+        let a = Vector(vec![0.1, 0.7]);
+        let b = Vector(vec![0.3, -0.4]); // same region as `a`
+        let cold = OpenApiInterpreter::default()
+            .interpret(&model, &a, 0, &mut request_rng(5, 0))
+            .unwrap();
+        let svc = sequential(model, 5, SharedCacheConfig::default());
+        let served = serve_in_order(&svc, &[a, b], 0);
+        let (first, second) = (served[0].as_ref().unwrap(), served[1].as_ref().unwrap());
+        assert_eq!(first.outcome, ServeOutcome::Solved);
+        assert_eq!(second.outcome, ServeOutcome::CacheHit);
+        assert_eq!(*first.interpretation, cold.interpretation);
+        assert_eq!(*second.interpretation, cold.interpretation);
+    }
+
+    #[test]
+    fn classes_do_not_share_cache_entries() {
+        let instances = clustered_instances(6);
+        let svc = sequential(two_region_model(), 7, SharedCacheConfig::default());
+        let c0 = serve_in_order(&svc, &instances, 0);
+        assert_eq!(svc.stats().misses, 2);
+        let c1 = serve_in_order(&svc, &instances, 1);
+        assert_eq!(svc.stats().misses, 4, "class 1 must not reuse class 0");
+        assert_eq!(svc.stats().cached_regions, 4);
+        let regions = |served: &[Result<Served, ServeError>], class: usize| {
+            let served: Vec<&Served> = served.iter().map(|r| r.as_ref().unwrap()).collect();
+            assert!(served.iter().all(|s| s.interpretation.class == class));
+            served
+                .iter()
+                .map(|s| s.fingerprint)
+                .collect::<std::collections::HashSet<_>>()
+                .len()
+        };
+        assert_eq!(regions(&c0, 0), 2);
+        assert_eq!(regions(&c1, 1), 2);
+    }
+
+    #[test]
+    fn per_request_failures_do_not_disturb_later_requests() {
+        let svc = sequential(two_region_model(), 8, SharedCacheConfig::default());
+        let bad = Vector(vec![0.0; 5]); // wrong dimension
+        let good = Vector(vec![0.2, 0.1]);
+        let served = serve_in_order(&svc, &[bad, good], 0);
+        assert!(matches!(
+            served[0],
+            Err(ServeError::Interpret(
+                InterpretError::DimensionMismatch { .. }
+            ))
+        ));
+        assert!(served[1].is_ok());
+        assert_eq!(svc.stats().failures, 1);
+    }
+
+    #[test]
+    fn fingerprint_collisions_do_not_serve_the_wrong_region() {
+        // Two regions whose core parameters all quantize to the same cell at
+        // integer granularity: with fingerprint_digits = 0 their fingerprints
+        // collide, and the cache must keep both rather than silently serving
+        // the first region's parameters for the second.
+        let low = LocalLinearModel::new(
+            Matrix::from_rows(&[&[0.2, 0.0], &[0.1, 0.0]]).unwrap(),
+            Vector(vec![0.0, 0.0]),
+        );
+        let high = LocalLinearModel::new(
+            Matrix::from_rows(&[&[0.0, 0.3], &[0.0, 0.1]]).unwrap(),
+            Vector(vec![0.2, 0.0]),
+        );
+        let model = TwoRegionPlm::axis_split(0, 0.5, low, high);
+        let cache = SharedCacheConfig {
+            fingerprint_digits: 0,
+            ..SharedCacheConfig::default()
+        };
+        let svc = sequential(model.clone(), 10, cache);
+        let instances = [
+            Vector(vec![0.1, 0.3]),  // low region
+            Vector(vec![0.9, -0.2]), // high region — colliding fingerprint
+            Vector(vec![0.8, 0.4]),  // high region again — must hit entry 2
+        ];
+        let served: Vec<Served> = serve_in_order(&svc, &instances, 0)
+            .into_iter()
+            .map(Result::unwrap)
+            .collect();
+        assert_eq!(served[0].fingerprint, served[1].fingerprint, "collision");
+        assert_ne!(served[0].interpretation, served[1].interpretation);
+        let stats = svc.stats();
+        assert_eq!((stats.misses, stats.hits), (2, 1));
+        assert_eq!(
+            stats.cached_regions, 2,
+            "the second region keeps its own entry"
+        );
+        assert_eq!(
+            served[2].outcome,
+            ServeOutcome::CacheHit,
+            "un-indexed entry still serves hits"
+        );
+        assert_eq!(served[2].interpretation, served[1].interpretation);
+        for (x, item) in instances.iter().zip(&served) {
+            let err = l1_to_truth(&model, x, item);
+            assert!(err < 1e-7, "served the wrong region: L1Dist {err}");
+        }
     }
 }

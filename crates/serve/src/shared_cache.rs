@@ -9,7 +9,7 @@
 //! evictions take the write lock.
 //!
 //! One cache means one lookup order: a probe resolves to the first
-//! admitted region that explains it, as in the store and the batch layer.
+//! admitted region that explains it, as in the store.
 //! The cache holds at most `capacity` entries, evicted CLOCK-wise (see
 //! [`RegionCache`]), so it stays within its configured bound no matter how
 //! many distinct regions traffic touches.
@@ -29,8 +29,9 @@ pub struct SharedCacheConfig {
     /// Membership-test tolerance (see
     /// [`openapi_core::cache::RegionCacheConfig::membership_rtol`]).
     pub membership_rtol: f64,
-    /// Fingerprint canonicalization digits: inserts key each region by
-    /// its parameters' fingerprint at this precision.
+    /// Fingerprint canonicalization digits (default 6): inserts key each
+    /// region by its parameters' fingerprint at this precision (see
+    /// [`openapi_core::decision::region_fingerprint`]).
     pub fingerprint_digits: u32,
     /// Kernel backend the blocked membership scan runs on (see
     /// [`openapi_linalg::kernel`]); backends are bit-identical by
@@ -44,7 +45,7 @@ impl Default for SharedCacheConfig {
         SharedCacheConfig {
             capacity: 4096,
             membership_rtol: base.membership_rtol,
-            fingerprint_digits: openapi_core::batch::BatchConfig::default().fingerprint_digits,
+            fingerprint_digits: 6,
             backend: base.backend,
         }
     }

@@ -32,7 +32,6 @@ pub use openapi_trace as trace;
 /// The most commonly used items across the workspace, in one import.
 pub mod prelude {
     pub use openapi_api::{GradientOracle, GroundTruthOracle, PredictionApi};
-    pub use openapi_core::batch::{BatchConfig, BatchInterpreter, BatchOutcome, BatchStats};
     pub use openapi_core::cache::{RegionCache, RegionCacheConfig};
     pub use openapi_core::decision::{Interpretation, PairwiseCoreParams, RegionFingerprint};
     pub use openapi_core::openapi::{EdgeSearch, OpenApiConfig, OpenApiInterpreter, OpenApiResult};

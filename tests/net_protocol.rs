@@ -489,6 +489,30 @@ fn deadlines_expire_over_the_wire() {
     server.close().expect("clean close");
 }
 
+/// A budget too large for the wire's milliseconds saturates instead of
+/// wrapping to 0, which the server would read as "use my default": here
+/// a 1 ns default that no request could survive.
+#[test]
+fn huge_budgets_saturate_instead_of_taking_the_server_default() {
+    let service = InterpretationService::new(CountingApi::new(two_region_plm()), service_config(1));
+    let config = ServerConfig {
+        default_deadline: Some(Duration::from_nanos(1)),
+        ..ServerConfig::default()
+    };
+    let server = Server::bind("127.0.0.1:0", service, config).expect("ephemeral bind");
+    let mut client = Client::connect(server.local_addr()).expect("handshake");
+    let budget = Duration::from_secs(1 << 61);
+    client
+        .interpret_within(&instance(0), 0, budget)
+        .expect("a huge budget is served");
+    let results = client
+        .interpret_batch(&[(instance(1), 0)], Some(budget))
+        .expect("batch exchange");
+    assert!(results[0].is_ok(), "{:?}", results[0]);
+    assert_eq!(server.service().stats().deadline_expired, 0);
+    server.close().expect("clean close");
+}
+
 /// Batch requests come back per item, in order, with typed per-item
 /// failures for the items the service refuses.
 #[test]
