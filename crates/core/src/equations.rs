@@ -19,6 +19,13 @@
 //! contrast's solution bit for bit what a solve of its own would give, so
 //! no semantics of Algorithm 1 change.
 //!
+//! A system whose samples mostly lie on the coordinate axes through `x⁰`
+//! is factored a second way ([`ConsistencySolver::on_axes`]): each axis
+//! sample gives its weight as one difference quotient, and only the
+//! `k × k` block of the other samples is factored, by block elimination.
+//! That is the pre-screened rung of Algorithm 1, whose `d + 1 − k` fill
+//! samples are axis points.
+//!
 //! [`ConsistencySolver::check_many`] is the workspace's one Theorem-2
 //! consistency check ([`ConsistencySolver::check`] is it with one
 //! contrast): Algorithm 1 accepts a rung on its verdicts, and its held-out
@@ -189,7 +196,8 @@ pub struct ContrastVerdict {
 /// Factor-once solver for an *overdetermined* system (`rows ≥ unknowns + 1`)
 /// checked against many right-hand sides. It keeps only what its strategy
 /// reads: the LU factors of the leading square block and the held-out rows,
-/// or the QR factors of the full system.
+/// the QR factors of the full system, or ([`ConsistencySolver::on_axes`])
+/// the axis offsets and the LU factors of the off-axis block.
 #[derive(Debug)]
 pub struct ConsistencySolver {
     rtol: f64,
@@ -204,6 +212,29 @@ enum Factor {
     Square { lu: LuFactor, held_out: Matrix },
     /// [`ConsistencyStrategy::LeastSquares`]: the factored full system.
     LeastSquares(QrFactor),
+    /// [`ConsistencySolver::on_axes`]: a system laid out as `x⁰`, `k`
+    /// off-axis samples, one sample on each of the `d − k` fill axes and
+    /// one held-out row.
+    Axes(AxisBlock),
+}
+
+/// What [`ConsistencySolver::on_axes`] keeps of its system.
+#[derive(Debug)]
+struct AxisBlock {
+    x0: Vector,
+    /// The fill axes, in row order: row `k + 1 + t` lies on `fill[t]`.
+    fill: Vec<usize>,
+    /// The realized offset `xᵗ[fill[t]] − x⁰[fill[t]]` of each fill row.
+    delta: Vec<f64>,
+    /// The other `k` axes, ascending: the columns of `lu`.
+    screened: Vec<usize>,
+    /// The `k × (d − k)` offsets of the off-axis samples on the fill
+    /// axes: entry `(i, t)` is `xⁱ[fill[t]] − x⁰[fill[t]]`.
+    cross: Matrix,
+    /// The factored `k × k` block: row `i` is `xⁱ[S] − x⁰[S]`.
+    lu: LuFactor,
+    /// The held-out row `[1 | x]`.
+    held_out: Matrix,
 }
 
 impl ConsistencySolver {
@@ -244,6 +275,74 @@ impl ConsistencySolver {
             rtol,
             rows: m,
             factor,
+        })
+    }
+
+    /// Factors a system whose fill samples lie on the coordinate axes
+    /// through `x⁰`. Its `d + 2` probes must be, in order: `x⁰`; `k` samples
+    /// anywhere (row `i` for `i` in `1..=k`); one sample on each axis of
+    /// `fill_axes` (row `k + 1 + t` differs from `x⁰` only in coordinate
+    /// `fill_axes[t]`), so `k = d − fill_axes.len()`; and one held-out row.
+    ///
+    /// Each fill row gives its axis's weight as one difference quotient,
+    /// `D[j] = (lr(xᵗ) − lr(x⁰))/δ_j` with the realized offset
+    /// `δ_j = xᵗ[j] − x⁰[j]`. What is left of the first `k` rows is a
+    /// `k × k` system in the weights of the other axes `S`, with rows
+    /// `xⁱ[S] − x⁰[S]`; it is the only system factored. The bias follows as
+    /// `B = lr(x⁰) − D·x⁰`, and the held-out row decides consistency, as
+    /// under [`ConsistencyStrategy::SquareThenCheck`].
+    ///
+    /// # Errors
+    /// [`LinalgError::Singular`] when an offset `δ_j` is zero or the
+    /// `k × k` block degenerates: Algorithm 1 treats both as "resample".
+    ///
+    /// # Panics
+    /// Panics when the system does not have `d + 2` rows, or `fill_axes`
+    /// repeats an axis or names one out of range.
+    pub fn on_axes(
+        system: &EquationSystem,
+        fill_axes: &[usize],
+        rtol: f64,
+    ) -> Result<Self, LinalgError> {
+        let (probes, d) = (system.probes(), system.unknowns() - 1);
+        assert_eq!(probes.len(), d + 2, "an axis system has d + 2 rows");
+        let mut on_fill = vec![false; d];
+        for &j in fill_axes {
+            assert!(j < d && !on_fill[j], "fill axes must be distinct axes");
+            on_fill[j] = true;
+        }
+        let x0 = probes[0].x.clone();
+        let k = d - fill_axes.len();
+        let screened: Vec<usize> = (0..d).filter(|&j| !on_fill[j]).collect();
+        let mut delta = Vec::with_capacity(fill_axes.len());
+        for (&j, p) in fill_axes.iter().zip(&probes[k + 1..=d]) {
+            let offset = p.x[j] - x0[j];
+            if offset == 0.0 {
+                return Err(LinalgError::Singular {
+                    pivot: j,
+                    magnitude: 0.0,
+                });
+            }
+            delta.push(offset);
+        }
+        let off_axis = &probes[1..=k];
+        let cross = Matrix::from_fn(k, fill_axes.len(), |i, t| {
+            off_axis[i].x[fill_axes[t]] - x0[fill_axes[t]]
+        });
+        let block = Matrix::from_fn(k, k, |i, s| off_axis[i].x[screened[s]] - x0[screened[s]]);
+        let block = AxisBlock {
+            lu: LuFactor::from_matrix(block)?,
+            held_out: coefficient_rows(&probes[d + 1..], d + 1),
+            x0,
+            fill: fill_axes.to_vec(),
+            delta,
+            screened,
+            cross,
+        };
+        Ok(ConsistencySolver {
+            rtol,
+            rows: d + 2,
+            factor: Factor::Axes(block),
         })
     }
 
@@ -330,7 +429,69 @@ impl ConsistencySolver {
                     Ok(verdict(solution, c_prime, residual, &b))
                 })
                 .collect(),
+            Factor::Axes(axes) => {
+                let solutions = axes.solve_many(rhs)?;
+                Ok(solutions
+                    .into_iter()
+                    .zip(c_primes)
+                    .enumerate()
+                    .map(|(j, (solution, &c_prime))| {
+                        let b = rhs.col(j);
+                        let worst = BlockedBackend.residual_inf(
+                            &axes.held_out,
+                            0,
+                            solution.as_slice(),
+                            &b.as_slice()[self.rows - 1..],
+                        );
+                        verdict(solution, c_prime, worst, &b)
+                    })
+                    .collect())
+            }
         }
+    }
+}
+
+impl AxisBlock {
+    /// The unknowns `[B, D…]` of every column of `rhs` from its first
+    /// `d + 1` rows: the fill axes' difference quotients, then one
+    /// [`LuFactor::solve_many`] of the off-axis block for the other axes.
+    fn solve_many(&self, rhs: &Matrix) -> Result<Vec<Vector>, LinalgError> {
+        let (k, cols) = (self.lu.dim(), rhs.cols());
+        let lr0 = rhs.row(0);
+        // Row t: the weight of axis fill[t] in every contrast.
+        let fill_weights = Matrix::from_fn(self.fill.len(), cols, |t, col| {
+            (rhs[(k + 1 + t, col)] - lr0[col]) / self.delta[t]
+        });
+        // Row i: what is left of row 1 + i once x⁰'s log-ratios and the
+        // fill axes' share are taken out. The contrasts run side by side.
+        let mut block = Matrix::from_fn(k, cols, |i, col| rhs[(1 + i, col)] - lr0[col]);
+        for i in 0..k {
+            let left = block.row_mut(i);
+            for (t, &offset) in self.cross.row(i).iter().enumerate() {
+                for (b, &w) in left.iter_mut().zip(fill_weights.row(t)) {
+                    *b -= offset * w;
+                }
+            }
+        }
+        let screened = self.lu.solve_many(&block)?;
+        Ok((0..cols)
+            .map(|col| {
+                let mut solution = vec![0.0; self.x0.len() + 1];
+                for (t, &j) in self.fill.iter().enumerate() {
+                    solution[1 + j] = fill_weights[(t, col)];
+                }
+                for (s, &j) in self.screened.iter().enumerate() {
+                    solution[1 + j] = screened[(s, col)];
+                }
+                let at_x0: f64 = solution[1..]
+                    .iter()
+                    .zip(self.x0.iter())
+                    .map(|(w, x)| w * x)
+                    .sum();
+                solution[0] = lr0[col] - at_x0;
+                Vector(solution)
+            })
+            .collect())
     }
 }
 
@@ -499,6 +660,80 @@ mod tests {
         probes[2] = probes[1].clone(); // degenerate sampling
         let sys = EquationSystem::new(probes);
         let r = ConsistencySolver::new(&sys, ConsistencyStrategy::SquareThenCheck, 1e-7);
+        assert!(matches!(r, Err(LinalgError::Singular { .. })));
+    }
+
+    /// `x⁰`, `k` cube samples, a point 0.25 off `x⁰` on each remaining
+    /// axis (in descending axis order, signs alternating) and one held-out
+    /// cube sample: the layout [`ConsistencySolver::on_axes`] reads.
+    fn axis_probes(api: &LinearSoftmaxModel, k: usize, seed: u64) -> (Vec<Probe>, Vec<usize>) {
+        let mut probes = probes_for(api, k + 1, seed);
+        let x0 = probes[0].x.clone();
+        let fill: Vec<usize> = (0..3).rev().take(3 - k).collect();
+        for (t, &j) in fill.iter().enumerate() {
+            let mut x = x0.clone();
+            x[j] += if t % 2 == 0 { 0.25 } else { -0.25 };
+            probes.push(Probe::query(api, x));
+        }
+        let mut rng = StdRng::seed_from_u64(seed + 100);
+        probes.extend(
+            sample_many(x0.as_slice(), 0.5, 1, &mut rng)
+                .into_iter()
+                .map(|x| Probe::query(api, x)),
+        );
+        (probes, fill)
+    }
+
+    #[test]
+    fn axis_solver_recovers_exact_core_params_for_every_block_size() {
+        let api = model();
+        let truth = api.local();
+        for k in 0..=3 {
+            let (probes, fill) = axis_probes(&api, k, 9);
+            let sys = EquationSystem::new(probes);
+            let solver = ConsistencySolver::on_axes(&sys, &fill, 1e-7).unwrap();
+            let verdicts = solver
+                .check_many(&sys.rhs_many(0, &[1, 2]), &[1, 2])
+                .unwrap();
+            for (v, c_prime) in verdicts.iter().zip([1usize, 2]) {
+                assert!(
+                    v.consistent,
+                    "k = {k} contrast {c_prime}: residual {}",
+                    v.residual
+                );
+                let want = truth.pairwise_decision_features(0, c_prime);
+                assert!(
+                    v.params.weights.l1_distance(&want).unwrap() < 1e-8,
+                    "k = {k}"
+                );
+                assert!((v.params.bias - truth.pairwise_bias(0, c_prime)).abs() < 1e-8);
+            }
+        }
+    }
+
+    #[test]
+    fn axis_solver_flags_a_corrupted_held_out_row() {
+        let api = model();
+        let (mut probes, fill) = axis_probes(&api, 1, 10);
+        probes.last_mut().unwrap().probs = Vector(vec![0.80, 0.15, 0.05]);
+        let sys = EquationSystem::new(probes);
+        let solver = ConsistencySolver::on_axes(&sys, &fill, 1e-7).unwrap();
+        assert!(!solver.check(&sys.rhs(0, 1), 1).unwrap().consistent);
+    }
+
+    #[test]
+    fn zero_axis_offsets_and_duplicate_samples_surface_as_singular() {
+        let api = model();
+        let (mut probes, fill) = axis_probes(&api, 1, 11);
+        probes[2].x = probes[0].x.clone();
+        let sys = EquationSystem::new(probes);
+        let r = ConsistencySolver::on_axes(&sys, &fill, 1e-7);
+        assert!(matches!(r, Err(LinalgError::Singular { magnitude, .. }) if magnitude == 0.0));
+        // Two equal off-axis samples make the k × k block singular.
+        let (mut probes, fill) = axis_probes(&api, 2, 12);
+        probes[2] = probes[1].clone();
+        let sys = EquationSystem::new(probes);
+        let r = ConsistencySolver::on_axes(&sys, &fill, 1e-7);
         assert!(matches!(r, Err(LinalgError::Singular { .. })));
     }
 

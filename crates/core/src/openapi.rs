@@ -13,14 +13,23 @@
 //! inside one region every log-ratio is affine in `x` (Theorem 2), so a
 //! segment from `x⁰` whose midpoint breaks `lr(m) = (lr(x⁰) + lr(x))/2`
 //! proves the cube straddles a boundary after 2 queries, before the other
-//! `d + 1` are paid. Acceptance is still the full `Ω_{d+2}` check.
+//! `d + 1` are paid. A rung whose screen passes fills the rest of its
+//! `d + 1` samples on the coordinate axes through `x⁰`. Lemma 1 asks only
+//! for affinely independent samples, not cube samples, and an axis point
+//! at `r/2` lies much closer to `x⁰` than a cube corner does. The axis
+//! points let the rung be solved by block elimination: one difference
+//! quotient per fill axis and a `k × k` LU for the screened endpoints
+//! ([`ConsistencySolver::on_axes`]), instead of an LU of the whole
+//! `(d+1) × (d+1)` block. Acceptance is still Theorem 2's: a held-out
+//! sample from the cube must satisfy every contrast's solution.
 
-use crate::decision::Interpretation;
+use crate::decision::{Interpretation, PairwiseCoreParams};
 use crate::equations::{ConsistencySolver, ConsistencyStrategy, EquationSystem, Probe};
 use crate::error::InterpretError;
 use crate::sampler::{sample_in_hypercube, sample_many};
 use openapi_api::{clamped_ln, PredictionApi};
-use openapi_linalg::Vector;
+use openapi_linalg::{LinalgError, Vector};
+use rand::seq::SliceRandom;
 use rand::Rng;
 
 /// Algorithm 1 hyperparameters (defaults follow the paper's experiments).
@@ -62,26 +71,34 @@ pub enum EdgeSearch {
     /// `Ω_{d+2}` and check every contrast. A rung costs `d + 1` queries,
     /// so a solve costs `1 + iterations · (d+1)`.
     Halving,
-    /// Before the paper's rung, draw `k(d) = min(max(8, ⌊(d+1)/6⌋),
-    /// ⌊(d+1)/4⌋)` endpoints `x_j` one at a time and query each with its
-    /// midpoint `m_j = (x⁰ + x_j)/2`. A midpoint whose log-ratios are not
-    /// the mean of its ends' (within `rtol`) halves the edge at once: no
-    /// system is built. If all `k` pass, the endpoints become the first
-    /// `k` of the `d + 1` samples and acceptance is the unchanged
-    /// `Ω_{d+2}` check. Midpoints never enter `Ω`: they are collinear
-    /// with `x⁰`.
+    /// The serving rung. First draw `k(d) = min(max(8, ⌊(d+1)/6⌋),
+    /// ⌊(d+1)/4⌋)` endpoints `x_j` in the cube one at a time and query each
+    /// with its midpoint `m_j = (x⁰ + x_j)/2`. A midpoint whose log-ratios
+    /// are not the mean of its ends' (within `rtol`) halves the edge at
+    /// once: no system is built. If all `k` pass, the endpoints become the
+    /// first `k` of the `d + 1` samples. The other `d − k` lie on the axes:
+    /// a random `k`-subset `S` of the axes is left out, and each axis
+    /// `j ∉ S` gets `x⁰ + (r/2)·s_j·e_j` with a random sign `s_j`. One
+    /// held-out sample from the cube completes the `d + 2` rows, for
+    /// `d + 1 + k` queries. The rung is solved by block elimination
+    /// ([`ConsistencySolver::on_axes`]), whatever
+    /// [`OpenApiConfig::strategy`] says: at d = 196 one 32 × 32 LU. It is
+    /// accepted when the held-out row passes every contrast, under the
+    /// same `rtol · max(1, ‖rhs‖∞)` rule as the paper's rung. A zero axis
+    /// offset or a singular block is a degenerate rung. Midpoints never
+    /// enter the system: they are collinear with `x⁰`.
     PreScreen,
 }
 
 impl EdgeSearch {
     /// Segments screened per rung at dimension `d` (`0` under
     /// [`EdgeSearch::Halving`]). The screen deepens with `d`: a full rung
-    /// passes only if all `d + 1 − k` fill samples land in `x⁰`'s region
-    /// too, so the larger `d` is, the more of the straddling cubes a fixed
-    /// `k` lets through to fail there, each after paying the fill and an
-    /// LU. At least 8 (up to `d = 52` the rule is `min(8, ⌊(d+1)/4⌋)`), and
-    /// never more than `⌊(d+1)/4⌋`, so the screen costs at most half a rung
-    /// and a model with `d < 3` runs the paper's rung.
+    /// passes only if all its fill samples and its held-out sample land in
+    /// `x⁰`'s region too, so the larger `d` is, the more of the straddling
+    /// cubes a fixed `k` lets through to fail there, each after paying the
+    /// fill. At least 8 (up to `d = 52` the rule is `min(8, ⌊(d+1)/4⌋)`),
+    /// and never more than `⌊(d+1)/4⌋`, so the screen costs at most half a
+    /// rung; a model with `d < 3` screens nothing and fills every axis.
     pub(crate) fn segments(self, d: usize) -> usize {
         match self {
             EdgeSearch::Halving => 0,
@@ -133,8 +150,10 @@ pub struct OpenApiResult {
     /// Per-iteration log (length = `iterations`).
     pub log: Vec<IterationLog>,
     /// The `d + 1` sampled instances of the successful iteration (the set
-    /// whose quality the paper's RD/WD experiments measure); under
-    /// [`EdgeSearch::PreScreen`] the screened endpoints come first.
+    /// whose quality the paper's RD/WD experiments measure, which run the
+    /// paper's [`EdgeSearch::Halving`]); under [`EdgeSearch::PreScreen`]
+    /// they are the screened endpoints, the axis points and the held-out
+    /// sample, in that order.
     pub samples: Vec<Vector>,
 }
 
@@ -238,9 +257,7 @@ impl OpenApiInterpreter {
         rng: &mut R,
     ) -> Result<OpenApiResult, InterpretError> {
         validate_request(api, x0_probe.x.as_slice(), class)?;
-        let (d, c_total) = (api.dim(), api.num_classes());
-        let x0 = x0_probe.x.clone();
-        let segments = self.config.edge_search.segments(d);
+        let c_total = api.num_classes();
         // x⁰'s log terms, shared by every segment the screen tests.
         let ln0: Vec<f64> = x0_probe.probs.iter().map(|&p| clamped_ln(p)).collect();
         let mut queries = 1usize;
@@ -248,85 +265,25 @@ impl OpenApiInterpreter {
         let mut log = Vec::new();
 
         for iteration in 1..=self.config.max_iterations {
-            let mut probes = Vec::with_capacity(d + 2);
-            probes.push(x0_probe.clone());
-            let mut spent = 0;
-            let mut defect = None;
-            for _ in 0..segments {
-                let x = sample_in_hypercube(x0.as_slice(), edge, rng);
-                let m = Vector(
-                    x0.iter()
-                        .zip(x.iter())
-                        .map(|(a, b)| 0.5 * (a + b))
-                        .collect(),
-                );
-                let end = Probe::query(api, x);
-                let mid = Probe::query(api, m);
-                spent += 2;
-                defect = self.midpoint_defect(&ln0, &end, &mid, class);
-                if defect.is_some() {
-                    break;
-                }
-                probes.push(end);
+            let (rung, accepted) = self.rung(api, &x0_probe, &ln0, edge, class, rng);
+            queries += rung.queries;
+            log.push(rung);
+            if let Some((pairwise, probes)) = accepted {
+                let interpretation = Interpretation::from_pairwise(class, pairwise)?;
+                return Ok(OpenApiResult {
+                    interpretation,
+                    iterations: iteration,
+                    final_edge: edge,
+                    queries,
+                    log,
+                    samples: probes.into_iter().skip(1).map(|p| p.x).collect(),
+                });
             }
-            let outcome = match defect {
-                Some(defect) => Err(IterationLog {
-                    edge,
-                    consistent_contrasts: 0,
-                    required_contrasts: c_total - 1,
-                    worst_residual: defect,
-                    degenerate: false,
-                    queries: spent,
-                    screened: true,
-                }),
-                None => {
-                    // Fill up to d + 1 fresh instances; together with x0
-                    // they form the d + 2 equations of Ω_{d+2}.
-                    let fill = d + 1 - segments;
-                    for x in sample_many(x0.as_slice(), edge, fill, rng) {
-                        probes.push(Probe::query(api, x));
-                    }
-                    spent += fill;
-                    let system = EquationSystem::new(probes);
-                    let verdicts = self.try_all_contrasts(&system, class, c_total);
-                    verdicts.map(|(pairwise, worst)| (pairwise, worst, system.into_probes()))
-                }
-            };
-            queries += spent;
-            match outcome {
-                Ok((pairwise, worst_residual, probes)) => {
-                    log.push(IterationLog {
-                        edge,
-                        consistent_contrasts: c_total - 1,
-                        required_contrasts: c_total - 1,
-                        worst_residual,
-                        degenerate: false,
-                        queries: spent,
-                        screened: false,
-                    });
-                    let interpretation = Interpretation::from_pairwise(class, pairwise)?;
-                    return Ok(OpenApiResult {
-                        interpretation,
-                        iterations: iteration,
-                        final_edge: edge,
-                        queries,
-                        log,
-                        samples: probes.into_iter().skip(1).map(|p| p.x).collect(),
-                    });
-                }
-                Err(iter_log) => {
-                    log.push(IterationLog {
-                        edge,
-                        queries: spent,
-                        ..iter_log
-                    });
-                    edge *= self.config.shrink_factor;
-                    if edge < f64::MIN_POSITIVE * 4.0 {
-                        // The cube has shrunk below representable widths;
-                        // further iterations would sample duplicates.
-                        break;
-                    }
-                }
+            edge *= self.config.shrink_factor;
+            if edge < f64::MIN_POSITIVE * 4.0 {
+                // The cube has shrunk below representable widths;
+                // further iterations would sample duplicates.
+                break;
             }
         }
 
@@ -337,6 +294,90 @@ impl OpenApiInterpreter {
             unsatisfied,
             queries,
         })
+    }
+
+    /// One rung of the edge search at `edge`: the screen's segments (none
+    /// under [`EdgeSearch::Halving`]), then, if they all pass, the fill and
+    /// the check of every contrast. Returns the rung's log, and on
+    /// acceptance the recovered pairwise parameters and the rung's `d + 2`
+    /// probes, `x⁰` first.
+    fn rung<M: PredictionApi, R: Rng>(
+        &self,
+        api: &M,
+        x0_probe: &Probe,
+        ln0: &[f64],
+        edge: f64,
+        class: usize,
+        rng: &mut R,
+    ) -> (IterationLog, Option<Accepted>) {
+        let (d, required) = (api.dim(), api.num_classes() - 1);
+        let x0 = &x0_probe.x;
+        let segments = self.config.edge_search.segments(d);
+        let mut probes = Vec::with_capacity(d + 2);
+        probes.push(x0_probe.clone());
+        let mut log = IterationLog {
+            edge,
+            consistent_contrasts: 0,
+            required_contrasts: required,
+            worst_residual: 0.0,
+            degenerate: false,
+            queries: 0,
+            screened: false,
+        };
+        for _ in 0..segments {
+            let x = sample_in_hypercube(x0.as_slice(), edge, rng);
+            let m = Vector(
+                x0.iter()
+                    .zip(x.iter())
+                    .map(|(a, b)| 0.5 * (a + b))
+                    .collect(),
+            );
+            let end = Probe::query(api, x);
+            let mid = Probe::query(api, m);
+            log.queries += 2;
+            if let Some(defect) = self.midpoint_defect(ln0, &end, &mid, class) {
+                log.worst_residual = defect;
+                log.screened = true;
+                return (log, None);
+            }
+            probes.push(end);
+        }
+        // Fill the rung to its d + 2 equations, x⁰'s included: d + 1 cube
+        // samples under halving; the axis points and one held-out cube
+        // sample after the pre-screen's k endpoints.
+        let (system, verdicts) = match self.config.edge_search {
+            EdgeSearch::Halving => {
+                for x in sample_many(x0.as_slice(), edge, d + 1, rng) {
+                    probes.push(Probe::query(api, x));
+                }
+                let system = EquationSystem::new(probes);
+                let verdicts = self.try_all_contrasts(&system, class, required + 1);
+                (system, verdicts)
+            }
+            EdgeSearch::PreScreen => {
+                let fill_axes = fill_on_axes(api, x0, edge, segments, &mut probes, rng);
+                let system = EquationSystem::new(probes);
+                let solver = ConsistencySolver::on_axes(&system, &fill_axes, self.config.rtol);
+                let verdicts = self.read_verdicts(&system, solver, class, required + 1);
+                (system, verdicts)
+            }
+        };
+        log.queries += d + 1 - segments;
+        match verdicts {
+            Ok((pairwise, worst_residual)) => {
+                log.consistent_contrasts = required;
+                log.worst_residual = worst_residual;
+                (log, Some((pairwise, system.into_probes())))
+            }
+            Err(failed) => (
+                IterationLog {
+                    edge,
+                    queries: log.queries,
+                    ..failed
+                },
+                None,
+            ),
+        }
     }
 
     /// The pre-screen's test of one segment `x⁰ → x`: inside one region
@@ -381,20 +422,36 @@ impl OpenApiInterpreter {
         self.interpret(api, x0, class, rng)
     }
 
-    /// Checks every contrast on one sampled system. On success returns the
-    /// recovered pairwise parameters; on failure returns the iteration log
-    /// entry (minus the edge and queries, filled by the caller).
-    ///
-    /// Every contrast is solved in one pass ([`ConsistencySolver::check_many`]);
-    /// the verdicts are then read in ascending `c'` and the first
-    /// inconsistent one decides, so the log is the one a contrast-by-contrast
-    /// check that stops there would write.
+    /// Checks every contrast on one sampled system, factored as the
+    /// configured strategy says: [`OpenApiInterpreter::read_verdicts`] of
+    /// [`ConsistencySolver::new`].
     fn try_all_contrasts(
         &self,
         system: &EquationSystem,
         class: usize,
         c_total: usize,
-    ) -> Result<(Vec<crate::decision::PairwiseCoreParams>, f64), IterationLog> {
+    ) -> Result<(Vec<PairwiseCoreParams>, f64), IterationLog> {
+        let solver = ConsistencySolver::new(system, self.config.strategy, self.config.rtol);
+        self.read_verdicts(system, solver, class, c_total)
+    }
+
+    /// Checks every contrast on one sampled system with its factored
+    /// `solver`. On success returns the recovered pairwise parameters; on
+    /// failure returns the iteration log entry (minus the edge and queries,
+    /// filled by the caller). A solver that failed to factor is a
+    /// degenerate rung.
+    ///
+    /// Every contrast is solved in one pass ([`ConsistencySolver::check_many`]);
+    /// the verdicts are then read in ascending `c'` and the first
+    /// inconsistent one decides, so the log is the one a contrast-by-contrast
+    /// check that stops there would write.
+    fn read_verdicts(
+        &self,
+        system: &EquationSystem,
+        solver: Result<ConsistencySolver, LinalgError>,
+        class: usize,
+        c_total: usize,
+    ) -> Result<(Vec<PairwiseCoreParams>, f64), IterationLog> {
         let required = c_total - 1;
         let failed = |consistent_contrasts, worst_residual, degenerate| IterationLog {
             edge: 0.0,
@@ -406,7 +463,7 @@ impl OpenApiInterpreter {
             screened: false,
         };
         let c_primes: Vec<usize> = (0..c_total).filter(|&cp| cp != class).collect();
-        let verdicts = ConsistencySolver::new(system, self.config.strategy, self.config.rtol)
+        let verdicts = solver
             .and_then(|solver| solver.check_many(&system.rhs_many(class, &c_primes), &c_primes))
             // Degenerate sampling geometry (probability 0): resample.
             .map_err(|_| failed(0, f64::INFINITY, true))?;
@@ -423,6 +480,39 @@ impl OpenApiInterpreter {
         }
         Ok((pairwise, worst_residual))
     }
+}
+
+/// What an accepted rung yields: the recovered pairwise parameters and
+/// the rung's `d + 2` probes, `x⁰` first.
+type Accepted = (Vec<PairwiseCoreParams>, Vec<Probe>);
+
+/// The pre-screened rung's fill, pushed onto `probes` after its `k`
+/// screened endpoints: one point `x⁰ + (r/2)·s_j·e_j` on each of `d − k`
+/// random axes `j` with a random sign `s_j`, then one held-out sample from
+/// the cube of edge `r`. Returns the fill axes in the order they were
+/// queried, the layout [`ConsistencySolver::on_axes`] reads.
+fn fill_on_axes<M: PredictionApi, R: Rng>(
+    api: &M,
+    x0: &Vector,
+    edge: f64,
+    k: usize,
+    probes: &mut Vec<Probe>,
+    rng: &mut R,
+) -> Vec<usize> {
+    let mut axes: Vec<usize> = (0..x0.len()).collect();
+    axes.shuffle(rng);
+    let fill_axes = axes.split_off(k);
+    let half = 0.5 * edge;
+    for &j in &fill_axes {
+        let mut x = x0.clone();
+        x[j] += if rng.gen::<bool>() { half } else { -half };
+        probes.push(Probe::query(api, x));
+    }
+    probes.push(Probe::query(
+        api,
+        sample_in_hypercube(x0.as_slice(), edge, rng),
+    ));
+    fill_axes
 }
 
 #[cfg(test)]
@@ -704,6 +794,59 @@ mod tests {
     }
 
     #[test]
+    fn a_zero_axis_offset_is_a_degenerate_rung_never_an_answer() {
+        // Feature 5 sits at 1e17, whose ulp is 16: x⁰₅ ± r/2 == x⁰₅ for
+        // every edge r ≤ 1, and so is every cube sample's coordinate 5.
+        // The model ignores feature 5, so the screen passes every rung;
+        // whether axis 5 is filled (δ = 0) or screened (a zero column in
+        // the block), the rung is degenerate and the edge halves.
+        let d = 35;
+        let w = Matrix::from_fn(d, 3, |r, c| {
+            if r == 5 {
+                0.0
+            } else {
+                ((r * 3 + c) % 7) as f64 * 0.1 - 0.3
+            }
+        });
+        let model = LinearSoftmaxModel::new(w, Vector(vec![0.1, -0.2, 0.05]));
+        let mut x0 = Vector(vec![0.1; d]);
+        x0[5] = 1e17;
+        assert_eq!(x0[5] + 0.5, x0[5]);
+        let interp = OpenApiInterpreter::new(config(EdgeSearch::PreScreen));
+        let rung_queries = d + 1 + EdgeSearch::PreScreen.segments(d);
+        for seed in 0..4 {
+            let api = CountingApi::new(&model);
+            let mut rng = StdRng::seed_from_u64(seed);
+            match interp.interpret(&api, &x0, 0, &mut rng) {
+                Err(InterpretError::BudgetExhausted {
+                    iterations,
+                    queries,
+                    ..
+                }) => {
+                    assert_eq!(iterations, 100, "seed {seed}");
+                    // No rung was screened: each paid the full fill.
+                    assert_eq!(queries, 1 + iterations * rung_queries, "seed {seed}");
+                    assert_eq!(queries as u64, api.queries(), "seed {seed}");
+                }
+                other => panic!("seed {seed}: expected exhaustion, got {other:?}"),
+            }
+            // The same rungs one at a time: each is logged degenerate.
+            let probe = Probe::query(&model, x0.clone());
+            let ln0: Vec<f64> = probe.probs.iter().map(|&p| clamped_ln(p)).collect();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut edge = 1.0;
+            for _ in 0..100 {
+                let (log, accepted) = interp.rung(&model, &probe, &ln0, edge, 0, &mut rng);
+                assert!(accepted.is_none(), "seed {seed} edge {edge}");
+                assert!(log.degenerate && !log.screened, "seed {seed} edge {edge}");
+                assert_eq!((log.consistent_contrasts, log.queries), (0, rung_queries));
+                assert_eq!(log.worst_residual, f64::INFINITY);
+                edge *= 0.5;
+            }
+        }
+    }
+
+    #[test]
     fn prescreen_replays_bit_for_bit_from_its_seed() {
         let api = wide_two_region_model(35);
         let interp = OpenApiInterpreter::new(config(EdgeSearch::PreScreen));
@@ -723,24 +866,31 @@ mod tests {
     }
 
     #[test]
-    fn prescreen_without_segments_is_the_paper_rung() {
-        // d = 2 caps k at ⌊3/4⌋ = 0: the pre-screen must be bit-identical
-        // to halving, queries and log included.
+    fn prescreen_without_segments_fills_both_axes_exactly() {
+        // d = 2 caps k at ⌊3/4⌋ = 0: no screen, so every rung is the two
+        // axis points and the held-out sample, d + 1 = 3 queries, solved
+        // with an empty block. Near the split it must still shrink to the
+        // exact answer.
         assert_eq!(EdgeSearch::PreScreen.segments(2), 0);
-        let api = two_region_model();
         let x0 = Vector(vec![0.49, 0.3]);
+        let truth = two_region_model()
+            .local_model(x0.as_slice())
+            .decision_features(0);
+        let interp = OpenApiInterpreter::new(config(EdgeSearch::PreScreen));
         for seed in 0..10 {
-            let run = |edge_search| {
-                let mut rng = StdRng::seed_from_u64(seed);
-                OpenApiInterpreter::new(config(edge_search))
-                    .interpret(&api, &x0, 0, &mut rng)
-                    .unwrap()
-            };
-            let (paper, screen) = (run(EdgeSearch::Halving), run(EdgeSearch::PreScreen));
-            assert_eq!(paper.interpretation, screen.interpretation);
-            assert_eq!(paper.queries, screen.queries);
-            assert_eq!(paper.log, screen.log);
-            assert_eq!(paper.samples, screen.samples);
+            let api = CountingApi::new(two_region_model());
+            let mut rng = StdRng::seed_from_u64(seed);
+            let res = interp.interpret(&api, &x0, 0, &mut rng).unwrap();
+            let err = res
+                .interpretation
+                .decision_features
+                .l1_distance(&truth)
+                .unwrap();
+            assert!(err < 1e-7, "seed {seed}: L1Dist {err}");
+            assert_eq!(res.queries, 1 + 3 * res.iterations, "seed {seed}");
+            assert_eq!(res.queries as u64, api.queries());
+            assert!(res.log.iter().all(|l| !l.screened && l.queries == 3));
+            assert_eq!(res.samples.len(), 3);
         }
     }
 

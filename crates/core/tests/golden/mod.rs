@@ -1,8 +1,8 @@
 //! Helpers shared by the golden tests: a seeded solve reduced to
-//! `(iterations, queries, digest)`, and its rung logs reduced to one
-//! digest.
+//! `(iterations, queries, digest)`, its rung logs reduced to one digest,
+//! and its distance to the hidden model's oracle.
 
-use openapi_api::{CountingApi, PredictionApi};
+use openapi_api::{CountingApi, GroundTruthOracle, PredictionApi};
 use openapi_core::openapi::IterationLog;
 use openapi_core::{Interpretation, OpenApiConfig, OpenApiInterpreter, OpenApiResult};
 use openapi_linalg::Vector;
@@ -97,4 +97,22 @@ pub fn rungs<M: PredictionApi>(
     seed: u64,
 ) -> u64 {
     log_digest(&run(config, model, x0, class, seed).0.log)
+}
+
+/// L1 distance from the decision features of the same seeded solve as
+/// [`solve`] to the oracle's at `x0`.
+#[allow(dead_code)] // the paper-policy suite pins bits only
+pub fn l1_to_oracle<M: PredictionApi + GroundTruthOracle>(
+    config: OpenApiConfig,
+    model: M,
+    x0: &[f64],
+    class: usize,
+    seed: u64,
+) -> f64 {
+    let truth = model.local_model(x0).decision_features(class);
+    let (res, _) = run(config, model, x0, class, seed);
+    res.interpretation
+        .decision_features
+        .l1_distance(&truth)
+        .expect("the oracle has the model's dimension")
 }

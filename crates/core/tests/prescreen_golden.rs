@@ -1,13 +1,14 @@
 //! Pins Algorithm 1 under the serving default's edge search,
 //! `EdgeSearch::PreScreen`: seeded solves near a region boundary must keep
 //! their iteration count, their query count and every bit of the
-//! recovered interpretation. The segments screened per rung depend on `d`,
-//! so a change to that rule or to the screen's sampling order fails here
-//! first; the cases cover d = 8 and d = 35.
+//! recovered interpretation, and each must land within 1e-7 L1 of the
+//! hidden model's own decision features. The segments screened per rung
+//! depend on `d`, so a change to that rule, to the screen's sampling order
+//! or to the axis fill fails here first; the cases cover d = 8 and d = 35.
 
 mod golden;
 
-use openapi_api::{LocalLinearModel, TwoRegionPlm};
+use openapi_api::{GroundTruthOracle, LocalLinearModel, PredictionApi, TwoRegionPlm};
 use openapi_core::{EdgeSearch, OpenApiConfig};
 use openapi_linalg::{Matrix, Vector};
 
@@ -18,12 +19,16 @@ fn prescreen() -> OpenApiConfig {
     }
 }
 
-fn solve<M: openapi_api::PredictionApi>(
+/// `(iterations, queries, digest)` of one seeded solve, which must also
+/// land within 1e-7 L1 of the oracle's decision features.
+fn solve<M: PredictionApi + GroundTruthOracle + Clone>(
     model: M,
     x0: &[f64],
     class: usize,
     seed: u64,
 ) -> (usize, u64, u64) {
+    let l1 = golden::l1_to_oracle(prescreen(), model.clone(), x0, class, seed);
+    assert!(l1 <= 1e-7, "seed {seed}: L1 {l1} to the oracle");
     golden::solve(prescreen(), model, x0, class, seed)
 }
 
@@ -54,12 +59,12 @@ fn reference_fixture_solves_near_its_split_are_pinned() {
         })
         .collect();
     let want = [
-        (8, 59, 0x1cc6_8827_8f9d_6297),
-        (8, 64, 0x6faa_adbc_afc4_ef17),
-        (3, 16, 0x566e_274e_5c52_041a),
-        (8, 55, 0x2718_2426_d9be_db77),
-        (8, 57, 0x26b4_ad5c_fc41_1c48),
-        (8, 37, 0x32c2_c6c0_303f_e561),
+        (1, 12, 0xe027_82ed_c45f_b3f4),
+        (8, 50, 0xe182_5892_b62c_c6eb),
+        (3, 16, 0x0904_1eaf_eb36_bf5f),
+        (7, 46, 0x39f1_251d_395d_bf64),
+        (8, 50, 0xb7d8_4421_65de_c516),
+        (7, 33, 0x9fbf_7a06_c3ef_c107),
     ];
     assert_eq!(got, want);
 }
@@ -72,12 +77,12 @@ fn wide_two_region_solves_near_the_split_are_pinned() {
         .map(|seed| solve(wide_two_region_model(), &x0, (seed % 3) as usize, seed))
         .collect();
     let want = [
-        (8, 115, 0x1ee4_da3b_35eb_6fdf),
-        (8, 79, 0x3abb_ca13_52cc_43a1),
-        (8, 81, 0xec9c_4003_90b1_620c),
-        (8, 95, 0x4a06_e9a4_42c1_6ea4),
-        (8, 77, 0x3075_e605_6b2d_369d),
-        (8, 69, 0x1151_3467_e5c2_4df0),
+        (8, 115, 0x82ae_2a22_1834_3c77),
+        (8, 79, 0xe981_e335_0e67_5c7c),
+        (8, 81, 0xbd00_3352_1e5d_db48),
+        (8, 95, 0x4cbe_df7e_1ece_5338),
+        (8, 77, 0x8730_ee04_4ea6_bf52),
+        (8, 69, 0x2b38_25c0_816f_acd8),
     ];
     assert_eq!(got, want);
 }
@@ -99,12 +104,12 @@ fn reference_fixture_rung_logs_are_pinned() {
         })
         .collect();
     let want = [
-        0x1d74_021e_b6a1_cd93,
-        0x6d08_5f57_9411_1d85,
-        0xbadf_1b6b_c62f_124d,
-        0x837e_6ab8_eba7_f31d,
-        0x4eb4_28cd_9151_b2d9,
-        0x0b1e_4f2e_67b8_aecf,
+        0xcca4_332a_23fd_fe54,
+        0x3fcc_dd6d_fbc7_0090,
+        0x4e3e_fdec_e45d_3777,
+        0x6aa1_3a5d_9ea2_ed5b,
+        0x2172_989e_530a_922c,
+        0x8f34_b1f9_5c1c_6270,
     ];
     assert_eq!(got, want);
 }
@@ -120,12 +125,12 @@ fn wide_two_region_rung_logs_are_pinned() {
         })
         .collect();
     let want = [
-        0x1bbf_08ad_5914_bca2,
-        0x5340_6348_7ce0_a65f,
-        0x23ac_a7e1_5711_b005,
-        0xe583_16ce_674b_30bf,
-        0x8842_94c8_4304_bfd9,
-        0x825c_5f10_19b8_0fc2,
+        0x7a29_50fc_baf7_2878,
+        0xa05e_49c1_7210_da50,
+        0x6134_eaf6_8a71_72c7,
+        0xdc69_2bd0_637f_af89,
+        0x789d_3fd3_f685_a673,
+        0xecef_3287_22ea_d610,
     ];
     assert_eq!(got, want);
 }

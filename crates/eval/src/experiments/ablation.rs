@@ -15,8 +15,10 @@
 //!    slopes) — honest about the API it queried, visibly far from the
 //!    hidden model; the naive method instead mixes plateaus silently.
 //! 5. **Edge search** — the paper's halving rung vs the midpoint
-//!    pre-screen ([`EdgeSearch::PreScreen`]): the same acceptance check,
-//!    so success and L1 match while queries and time drop.
+//!    pre-screen ([`EdgeSearch::PreScreen`]), which fills a rung that
+//!    passes its screen on the axes through `x⁰` and solves it by block
+//!    elimination: the same Theorem-2 acceptance rule, so success and L1
+//!    match while queries and time drop.
 
 use crate::config::ExperimentConfig;
 use crate::experiments::{out_path, predicted_classes};

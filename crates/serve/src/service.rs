@@ -32,9 +32,10 @@ pub struct ServiceConfig {
     /// Shared-cache capacity and membership tolerance.
     pub cache: SharedCacheConfig,
     /// Configuration of the per-region Algorithm-1 solves. The default
-    /// pre-screens each rung ([`EdgeSearch::PreScreen`]): the same exact
-    /// answers as the paper's halving, for about a fifth of its queries
-    /// at d = 196.
+    /// pre-screens each rung and fills a full rung on the axes through
+    /// `x⁰` ([`EdgeSearch::PreScreen`]): exact answers under the paper's
+    /// consistency test, for about a seventh of halving's queries at
+    /// d = 196, and one 32 × 32 LU per full rung instead of a 197².
     pub openapi: OpenApiConfig,
     /// Master seed; each request's sampling RNG derives from
     /// `(seed, request id)`, so a fixed submission order replays exactly.

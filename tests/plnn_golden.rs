@@ -3,11 +3,13 @@
 //! (`EdgeSearch::Halving`) and the serving default's
 //! (`EdgeSearch::PreScreen`). Every solve must keep its iteration count,
 //! its query count, every bit of the recovered interpretation and every
-//! field of every rung's log. The networks' forward pass is the dense
-//! `Matrix::matvec` kernel, and the solves run the LU and the consistency
-//! check at d = 64, so a change to any of them that moves one bit fails
-//! here. The hidden widths (30, 13, 18) are deliberately not multiples of
-//! four.
+//! field of every rung's log, and the serving default's solves must land
+//! within 1e-7 L1 of the network's own decision features. The networks'
+//! forward pass is the dense `Matrix::matvec` kernel, and the solves run
+//! the LU (the whole `Ω` under halving, the off-axis block under the
+//! pre-screen) and the consistency check at d = 64, so a change to any of
+//! them that moves one bit fails here. The hidden widths (30, 13, 18) are
+//! deliberately not multiples of four.
 
 #[path = "../crates/core/tests/golden/mod.rs"]
 mod golden;
@@ -56,6 +58,16 @@ fn pins(net: fn() -> Plnn, edge_search: EdgeSearch) -> Vec<((usize, u64, u64), u
         .collect()
 }
 
+/// Each seeded solve of `pins` under the serving default lands within
+/// 1e-7 L1 of the network's own decision features at `x0`.
+fn assert_prescreen_exact(net: fn() -> Plnn) {
+    for seed in 0..4u64 {
+        let (x0, class) = (instance(seed), (seed % 10) as usize);
+        let l1 = golden::l1_to_oracle(config(EdgeSearch::PreScreen), net(), &x0, class, seed);
+        assert!(l1 <= 1e-7, "seed {seed}: L1 {l1} to the oracle");
+    }
+}
+
 #[test]
 fn relu_halving_solves_are_pinned() {
     let want = [
@@ -70,11 +82,12 @@ fn relu_halving_solves_are_pinned() {
 #[test]
 fn relu_prescreen_solves_are_pinned() {
     let want = [
-        ((9, 177, 0x7643_2934_3c47_d75a), 0x6a23_1ad5_e739_ea9b),
-        ((8, 173, 0xe3b3_0eef_05dc_0948), 0x54b7_badf_72d4_1e93),
-        ((8, 165, 0x9cfd_b18c_65a4_7ab2), 0x352c_5c83_8847_9db0),
-        ((11, 179, 0xe8e6_7fe2_9d0a_ddc8), 0x9de8_75ac_bda5_3a23),
+        ((8, 102, 0x9103_db61_a567_43b6), 0x7a17_dfd7_cddc_403a),
+        ((7, 98, 0xba77_2e65_220b_b07a), 0x1780_031c_bdd9_873c),
+        ((7, 90, 0x6784_8104_e21a_823f), 0x0f38_5f4d_3d14_3420),
+        ((10, 104, 0xb36f_6980_2f35_dc40), 0x9787_c3a5_65ca_5a20),
     ];
+    assert_prescreen_exact(relu_net);
     assert_eq!(pins(relu_net, EdgeSearch::PreScreen), want);
 }
 
@@ -92,10 +105,11 @@ fn maxout_halving_solves_are_pinned() {
 #[test]
 fn maxout_prescreen_solves_are_pinned() {
     let want = [
-        ((8, 175, 0x0049_517d_11d8_43bd), 0xd405_1ef7_e14d_124c),
-        ((8, 108, 0x2fb9_069a_e543_ba53), 0x3b5a_8f46_134b_217a),
-        ((6, 161, 0x19f2_aad5_22d6_6d8b), 0x6be4_b071_ce30_a50f),
-        ((11, 191, 0x81b1_0201_f5af_b58a), 0x4f0f_d07e_1fb5_522c),
+        ((7, 100, 0xffd9_edf0_6dcc_73ef), 0x579d_cde2_f666_5bfc),
+        ((8, 108, 0x3e48_9545_d5e8_a195), 0x5eef_e577_eb02_7498),
+        ((5, 86, 0x6698_92ef_b5cf_1841), 0x76f4_9ed5_93f8_a13c),
+        ((10, 177, 0x0f41_8817_47f2_68cd), 0xf064_f87e_cb79_74c7),
     ];
+    assert_prescreen_exact(maxout_net);
     assert_eq!(pins(maxout_net, EdgeSearch::PreScreen), want);
 }
